@@ -67,7 +67,6 @@ class Query:
         optimize: bool = False,
         executor: str = "naive",
         storage: str | None = None,
-        parallel: Any = None,
     ) -> KRelation:
         """Evaluate the query against ``database`` and return a K-relation.
 
@@ -94,34 +93,8 @@ class Query:
         database's own backend).  Under the pipelined executor a columnar
         backend additionally engages the whole-column vectorized kernels
         (:mod:`repro.engine.vectorized`) for supported plans and semirings.
-
-        ``parallel`` enables shared-nothing partition-parallel execution
-        (:mod:`repro.parallel`): an integer worker count, ``True`` for the
-        cpu count, or a :class:`~repro.parallel.executor.ParallelExecutor`
-        to reuse a warm pool; ``None`` defers to ``REPRO_PARALLEL``.  The
-        plan's driver relation is hash-partitioned, each partition is
-        evaluated by a worker over the pipelined kernels, and the partials
-        are merged with one ``+``-chain per output tuple -- annotation
-        identical to the serial executors.  Plans or semirings the parallel
-        path cannot handle exactly (circuits, opaque predicate closures,
-        self-joins on the only large relation) decline and fall back to the
-        ``executor`` selected above.
         """
-        import os as _os
-
         plan = self.optimized(database) if optimize else self
-        if parallel is not None or _os.environ.get("REPRO_PARALLEL"):
-            from repro.parallel import resolve_parallel as _resolve_parallel
-
-            resolved = _resolve_parallel(parallel)
-            if resolved:
-                from repro.parallel.queries import execute_query_parallel
-
-                result = execute_query_parallel(
-                    plan, database, parallel=resolved, storage=storage
-                )
-                if result is not None:
-                    return result
         if executor == "pipelined":
             from repro.engine import execute as _execute_pipelined
 
@@ -182,22 +155,7 @@ class Query:
         """Shorthand for :meth:`explain` with ``analyze=True``."""
         return self.explain(database, analyze=True, **options)
 
-    def __call__(
-        self,
-        database: Database,
-        *,
-        optimize: bool = False,
-        executor: str = "naive",
-        storage: str | None = None,
-        parallel: Any = None,
-    ) -> KRelation:
-        return self.evaluate(
-            database,
-            optimize=optimize,
-            executor=executor,
-            storage=storage,
-            parallel=parallel,
-        )
+    __call__ = evaluate
 
     # -- combinators -------------------------------------------------------------
     def union(self, other: "Query") -> "Union":

@@ -23,7 +23,7 @@ table.  Consequences:
   normally when no relation references them;
 * nodes pickle by *reconstruction through the factories* (``__reduce__``),
   so an unpickled circuit re-interns into the receiving process's table and
-  identity equality keeps holding across process boundaries (worker IPC).
+  identity equality keeps holding across process boundaries.
 
 ``Sum``/``Prod`` children are kept sorted by interning id, which makes the
 constructors commutative at the representation level (``a + b`` and

@@ -35,6 +35,7 @@ from repro.datalog.syntax import Program
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
+from repro.relations.storage import resolve_storage_kind
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 
@@ -148,7 +149,6 @@ def evaluate_program(
     on_divergence: str = "top",
     engine: str = "naive",
     storage: Any = None,
-    parallel: Any = None,
 ) -> DatalogResult:
     """Evaluate ``program`` over ``database`` in the database's semiring.
 
@@ -179,17 +179,10 @@ def evaluate_program(
     per-predicate stores (``"row"`` or ``"columnar"``; ``None`` defers to
     ``REPRO_STORAGE``, then to the database's own backend).  A columnar
     backend additionally engages whole-column round batching for linear
-    recursions over vectorizable semirings.  The naive engine ignores it.
-
-    ``parallel`` (semi-naive engine only) runs the annotate-mode fixpoint
-    rounds over a pool of shared-nothing worker processes
-    (:mod:`repro.parallel`): an integer worker count, ``True`` for the cpu
-    count, or ``None`` to defer to ``REPRO_PARALLEL``.  Collect-mode runs
-    (non-idempotent semirings) and semirings without a canonical picklable
-    carrier decline to the serial loop; results are identical either way.
-    The naive engine ignores it.
+    recursions over vectorizable semirings.
     """
     _check_engine(engine)
+    resolve_storage_kind(storage)
     if isinstance(program, str):
         program = Program.parse(program)
     if engine == "seminaive":
@@ -201,7 +194,6 @@ def evaluate_program(
             max_iterations=max_iterations,
             on_divergence=on_divergence,
             storage=storage,
-            parallel=parallel,
         )
     semiring = database.semiring
     ground = ground_program(program, database)

@@ -581,9 +581,7 @@ class _SemiNaiveEngine:
             self._ann_arrays[predicate] = (version, len(store.rows), array)
         return array
 
-    def _fire_vectorized(
-        self, plan: _Plan, recipe, driver_rows, out, driver_annotations=None
-    ) -> bool:
+    def _fire_vectorized(self, plan: _Plan, recipe, driver_rows, out) -> bool:
         step_predicate, key, head = recipe
         ops = self._vector_ops
         if not self.stores[step_predicate].rows:
@@ -596,13 +594,8 @@ class _SemiNaiveEngine:
                 )
                 for position in probe_needed
             }
-            if driver_annotations is None:
-                driver_annotations = self.stores[
-                    plan.driver.predicate
-                ].relation._annotations
-            probe_ann = ops.to_array(
-                [driver_annotations[tup] for _, tup in driver_rows]
-            )
+            annotations = self.stores[plan.driver.predicate].relation._annotations
+            probe_ann = ops.to_array([annotations[tup] for _, tup in driver_rows])
             build_needed = {p for _, p in key} | {k for side, k in head if side == "b"}
             build_cols = {
                 position: self._build_column(step_predicate, position)
@@ -624,26 +617,16 @@ class _SemiNaiveEngine:
 
     # -- one plan, one batch of driver rows -----------------------------------
     def _fire(
-        self,
-        plan: _Plan,
-        driver_rows: Sequence[Tuple[tuple, Tup]],
-        out,
-        driver_annotations=None,
+        self, plan: _Plan, driver_rows: Sequence[Tuple[tuple, Tup]], out
     ) -> None:
-        """Fire ``plan`` for ``driver_rows``, emitting contributions into ``out``.
-
-        ``driver_annotations`` overrides the driver predicate's stored
-        annotation map -- the partition-parallel workers ship delta rows
-        together with their annotations instead of replicating the parent's
-        IDB stores, so the rows may be absent from this engine's own store.
-        """
+        """Fire ``plan`` for ``driver_rows``, emitting contributions into ``out``."""
         if self._vector_ops is not None and driver_rows:
             recipe = self._vec_recipes.get(id(plan), False)
             if recipe is False:
                 recipe = self._vector_recipe(plan)
                 self._vec_recipes[id(plan)] = recipe
             if recipe is not None and self._fire_vectorized(
-                plan, recipe, driver_rows, out, driver_annotations
+                plan, recipe, driver_rows, out
             ):
                 return
         semiring = self.semiring
@@ -655,8 +638,7 @@ class _SemiNaiveEngine:
         collect = self.collect
         body_values: List[tuple] = [()] * len(plan.body_predicates)
         driver = plan.driver
-        if driver_annotations is None:
-            driver_annotations = stores[driver.predicate].relation._annotations
+        driver_annotations = stores[driver.predicate].relation._annotations
         head_parts = plan.head_parts
         emit = out[plan.head_relation]
 
@@ -1237,32 +1219,6 @@ class _SemiNaiveEngine:
         )
 
 
-def _run_engine(engine: "_SemiNaiveEngine", max_iterations: int, parallel: Any) -> int:
-    """Run the fixpoint, partition-parallel when requested and possible.
-
-    The parallel coordinator mutates the same engine through the same
-    ``_merge`` discipline, so the stores end up identical either way; it
-    returns ``None`` to decline (collect mode, a semiring outside the
-    parallel whitelist, no remote-safe plan), in which case the ordinary
-    serial loop runs on the still-untouched engine.
-    """
-    import os
-
-    if parallel is not None or os.environ.get("REPRO_PARALLEL"):
-        from repro.parallel import resolve_parallel
-
-        resolved = resolve_parallel(parallel)
-        if resolved:
-            from repro.parallel.datalog import run_engine_parallel
-
-            iterations = run_engine_parallel(
-                engine, max_iterations=max_iterations, parallel=resolved
-            )
-            if iterations is not None:
-                return iterations
-    return engine.run(max_iterations)
-
-
 def evaluate_program_seminaive(
     program: Program | str,
     database: Database,
@@ -1270,19 +1226,12 @@ def evaluate_program_seminaive(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     on_divergence: str = "top",
     storage: Any = None,
-    parallel: Any = None,
 ) -> DatalogResult:
     """Semi-naive counterpart of :func:`repro.datalog.fixpoint.evaluate_program`.
 
     Same contract and same results; see the module docstring for how the two
     semiring regimes are handled.  Callers normally reach this through
     ``evaluate_program(..., engine="seminaive")``.
-
-    ``parallel`` (an integer worker count, ``True``, an executor, or
-    ``None`` deferring to ``REPRO_PARALLEL``) runs the annotate-mode rounds
-    partition-parallel (:mod:`repro.parallel.datalog`); collect-mode runs
-    and semirings without a canonical picklable carrier decline to the
-    serial loop and the result is identical either way.
     """
     if on_divergence not in ("top", "error", "skip"):
         raise ValueError(
@@ -1294,7 +1243,7 @@ def evaluate_program_seminaive(
 
     if semiring.idempotent_add:
         engine = _SemiNaiveEngine(program, database, collect=False, storage=storage)
-        iterations = _run_engine(engine, max_iterations, parallel)
+        iterations = engine.run(max_iterations)
         # The grounded instantiation was never materialized -- that is the
         # point -- so the result's ``ground`` carries no rule list.
         ground = GroundProgram(
@@ -1315,8 +1264,7 @@ def evaluate_program_seminaive(
     # The Boolean support fixpoint always terminates (finitely many ground
     # atoms), so the caller's iteration budget -- meant for the value
     # iteration -- does not apply here, matching the naive engine whose
-    # grounding pre-pass is equally uncapped.  Collect mode records rule
-    # instantiations and therefore always declines the parallel path.
+    # grounding pre-pass is equally uncapped.
     engine.run(max(max_iterations, DEFAULT_MAX_ITERATIONS))
     ground = engine.ground_program()
     return solve_ground_seminaive(

@@ -919,50 +919,3 @@ def try_project(relation: KRelation, attributes: Iterable[str]) -> KRelation | N
         return _materialize(batch, relation.semiring, ops, "columnar")
     except _Fallback:
         return None
-
-
-def try_merge_contributions(
-    semiring: Semiring, contributions: Dict[Any, list]
-) -> Dict[Any, Any] | None:
-    """Array-at-a-time accumulation of per-key contribution batches.
-
-    The partition-parallel merge step: each key's batch (one contribution
-    per partition that produced the tuple) is combined with the semiring's
-    ``+`` in a single grouped scatter, and keys that sum to zero are
-    dropped -- the vectorized counterpart of
-    :func:`repro.engine.kernels.accumulate_batches`.
-
-    Runs behind the same ``_INT64_GUARD`` as every other int64 kernel:
-    per-partition partial sums can *individually* sit under the guard yet
-    overflow int64 when added together here, so ``accumulate`` re-checks
-    ``len(values) * max|value|`` against the bound and this function
-    returns ``None`` (caller falls back to exact Python-int arithmetic)
-    instead of risking silent wraparound at the merge.  Also ``None`` when
-    numpy or vector arithmetic for the semiring is unavailable.
-    """
-    ops = vector_ops_for(semiring)
-    if ops is None:
-        return None
-    keys: list = []
-    values: list = []
-    group_ids: list = []
-    for key, batch in contributions.items():
-        group = len(keys)
-        keys.append(key)
-        values.extend(batch)
-        group_ids.extend([group] * len(batch))
-    if not keys:
-        return {}
-    try:
-        lifted = ops.to_array(values)
-        totals = ops.accumulate(
-            lifted, _np.array(group_ids, dtype=_np.int64), len(keys)
-        )
-    except _Fallback:
-        return None
-    zeros = ops.zero_mask(totals)
-    return {
-        key: ops.to_python(total)
-        for key, total, is_zero in zip(keys, totals, zeros)
-        if not is_zero
-    }

@@ -73,6 +73,6 @@ class SerializationError(ReproError):
     Raised instead of :class:`pickle.PicklingError` when the library can
     tell *why* the value does not serialize -- e.g. an
     :class:`~repro.algebra.predicates.OpaquePredicate` wrapping a lambda or
-    local closure -- so the parallel executor's decline path and the caller
-    both see an actionable message.
+    local closure -- so the caller sees an actionable message naming the
+    structured-predicate alternative.
     """

@@ -86,13 +86,6 @@ class IncrementalDatalog:
     per-predicate stores (``"row"`` or ``"columnar"``; ``None`` defers to
     ``REPRO_STORAGE``, then to the database's own backend), exactly as in
     :func:`repro.datalog.fixpoint.evaluate_program`.
-
-    ``parallel`` (a worker count, ``True``, an executor, or ``None``
-    deferring to ``REPRO_PARALLEL``) runs the **initial** fixpoint's rounds
-    partition-parallel (:mod:`repro.parallel.datalog`) when the semiring
-    qualifies; maintenance after updates stays serial -- incremental deltas
-    are small by design and the maintained stores live in this process.
-    The maintained state and every result are identical either way.
     """
 
     def __init__(
@@ -103,7 +96,6 @@ class IncrementalDatalog:
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         on_divergence: str = "top",
         storage: Any = None,
-        parallel: Any = None,
     ):
         if on_divergence not in ("top", "error", "skip"):
             raise ValueError(
@@ -117,7 +109,6 @@ class IncrementalDatalog:
         self.max_iterations = max_iterations
         self.on_divergence = on_divergence
         self.storage = storage
-        self.parallel = parallel
         self._idempotent = self.semiring.idempotent_add
         self._result: DatalogResult | None = None
         self._rounds = 0
@@ -138,9 +129,7 @@ class IncrementalDatalog:
             if self._idempotent
             else max(self.max_iterations, DEFAULT_MAX_ITERATIONS)
         )
-        from repro.datalog.seminaive import _run_engine
-
-        self._rounds = _run_engine(self._engine, budget, self.parallel)
+        self._rounds = self._engine.run(budget)
         self._result = None
 
     # -- results ----------------------------------------------------------------

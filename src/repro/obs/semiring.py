@@ -56,11 +56,10 @@ class InstrumentedSemiring(Semiring):
         self.has_negation = delegate.has_negation
 
     def __reduce__(self):
-        # Pickles by reconstruction so worker processes get a working
+        # Pickles by reconstruction so another process gets a working
         # wrapper (delegate + a value-copy of the counter).  Counts bumped
-        # in a worker do not flow back to the parent's OpCounter -- op
-        # metrics are per-process; the parallel executor's spans carry the
-        # cross-process accounting instead.
+        # there do not flow back to this OpCounter -- op metrics are
+        # per-process.
         return (InstrumentedSemiring, (self.delegate, self.ops))
 
     # -- counted hot path --------------------------------------------------------

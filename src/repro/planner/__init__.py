@@ -26,14 +26,7 @@ Entry points::
     query.evaluate(database, optimize=True)  # optimize-and-run in one call
 """
 
-from repro.planner.cost import (
-    CostModel,
-    Estimate,
-    ParallelDecision,
-    Statistics,
-    TableStats,
-    choose_partitions,
-)
+from repro.planner.cost import CostModel, Estimate, Statistics, TableStats
 from repro.planner.optimizer import OptimizationReport, explain, optimize
 from repro.planner.plans import catalog_of, infer_attributes, plan_signature
 from repro.planner.reorder import reorder_joins
@@ -52,8 +45,6 @@ __all__ = [
     "TableStats",
     "CostModel",
     "Estimate",
-    "ParallelDecision",
-    "choose_partitions",
     "plan_signature",
     "infer_attributes",
     "catalog_of",

@@ -54,8 +54,6 @@ __all__ = [
     "Statistics",
     "Estimate",
     "CostModel",
-    "ParallelDecision",
-    "choose_partitions",
     "PARALLEL_ROW_OVERHEAD",
 ]
 
@@ -276,65 +274,3 @@ class CostModel:
         total += sum(self.estimate(child).cardinality for child in children)
         total += self.estimate(query).cardinality
         return total
-
-
-# ---------------------------------------------------------------------------
-# Partition-parallelism decision
-# ---------------------------------------------------------------------------
-
-#: Fixed per-worker cost of one parallel dispatch, expressed in
-#: row-equivalents: partition construction, pickling the payload across the
-#: process boundary, scheduling, and merging the partial result back.  A
-#: partition must carry at least this many estimated rows before shipping it
-#: beats processing it in place.
-PARALLEL_ROW_OVERHEAD = 512.0
-
-
-@dataclass(frozen=True)
-class ParallelDecision:
-    """The cost model's verdict on fanning one operation out to workers.
-
-    ``partitions`` is the chosen fan-out (1 means "stay serial/local");
-    ``estimated_rows`` the row estimate the decision was made on;
-    ``reason`` a human-readable justification surfaced by the obs spans.
-    """
-
-    partitions: int
-    estimated_rows: float
-    reason: str
-
-
-def choose_partitions(
-    estimated_rows: float,
-    max_workers: int,
-    *,
-    row_overhead: float = PARALLEL_ROW_OVERHEAD,
-) -> ParallelDecision:
-    """How many hash partitions an operation of ``estimated_rows`` deserves.
-
-    The model is the standard amortization argument: fanning out to ``p``
-    workers costs ``p * row_overhead`` row-equivalents of fixed work
-    (partitioning, IPC, merge) and saves ``estimated_rows * (p - 1) / p``
-    of in-line work, so the largest ``p`` with
-    ``estimated_rows / p >= row_overhead`` is the widest fan-out that still
-    pays for itself.  Degenerates to 1 (serial) for small inputs, is capped
-    by ``max_workers``, and never exceeds the row count itself (a partition
-    with no rows is pure overhead).
-    """
-    workers = max(int(max_workers), 1)
-    rows = max(float(estimated_rows), 0.0)
-    if workers == 1 or rows < 2 * row_overhead:
-        return ParallelDecision(
-            1, rows, f"{rows:.0f} estimated rows under 2x the {row_overhead:.0f}-row "
-            "dispatch overhead; staying serial"
-        )
-    affordable = int(rows // row_overhead)
-    partitions = max(1, min(workers, affordable, int(rows)))
-    if partitions == 1:
-        return ParallelDecision(1, rows, "fan-out does not amortize; staying serial")
-    return ParallelDecision(
-        partitions,
-        rows,
-        f"{rows:.0f} estimated rows over {partitions} partitions "
-        f"({rows / partitions:.0f} rows/worker, overhead {row_overhead:.0f})",
-    )

@@ -217,7 +217,7 @@ class ColumnarRowStore(RowStore):
         # ``tuples`` (cheaper than pickling a second copy of every Tup
         # key), the mapping adapter is a cyclic view and the vectorized
         # scratch cache may hold numpy arrays -- neither belongs in the
-        # worker-IPC payload.
+        # pickled payload.
         return (self.attributes, self.tuples, self.columns, self.annotations)
 
     def __setstate__(self, state):

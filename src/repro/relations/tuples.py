@@ -175,8 +175,7 @@ class Tup:
     def __reduce__(self):
         # Canonical tuples unpickle through the fast constructor: the items
         # are sorted by construction, so re-validation happens only under
-        # REPRO_DEBUG_TUPLES (the receiving process's setting -- worker
-        # pools propagate the parent's flag in their init payload).
+        # REPRO_DEBUG_TUPLES (the receiving process's setting).
         return (Tup._from_sorted_items, (self._items,))
 
     def __eq__(self, other: object) -> bool:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.datalog import GroundAtom, Program, evaluate, evaluate_program
-from repro.errors import DivergenceError
+from repro.errors import DivergenceError, SchemaError
 from repro.relations import Database, Tup
 from repro.semirings import (
     BooleanSemiring,
@@ -126,3 +126,12 @@ class TestResultObject:
         db = figure6_database()
         result = evaluate_program(figure6_program(), db)
         assert result.annotations[GroundAtom("Q", ("a", "b"))] == 18
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("engine", ["naive", "seminaive"])
+    def test_unknown_storage_is_rejected_by_both_engines(self, engine):
+        with pytest.raises(SchemaError, match="unknown storage backend"):
+            evaluate_program(
+                figure6_program(), figure6_database(), engine=engine, storage="bogus"
+            )

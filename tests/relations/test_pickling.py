@@ -1,14 +1,14 @@
-"""Pickle round-trip safety for everything that crosses a process boundary.
+"""Pickle round-trip safety for the library's tuples, stores and carriers.
 
-The parallel executor ships tuples, row stores, K-relations, semirings and
-their annotation values between processes; this file is the regression net
-for the serialization sweep: every carrier round-trips by value, hash-consed
-circuit nodes re-intern on unpickle (identity is their equality!), and the
-two deliberately unshippable things -- opaque predicate closures -- fail
-with a clear :class:`~repro.errors.SerializationError` instead of a cryptic
-pickling backtrace.  The pool tests at the bottom run real ``fork`` and
-``spawn`` workers, because ``spawn`` re-imports everything and is where
-naive ``__reduce__`` implementations break.
+Tuples, row stores, K-relations, semirings and their annotation values all
+pickle by value; this file is the regression net for that contract: every
+carrier round-trips by value, hash-consed circuit nodes re-intern on
+unpickle (identity is their equality!), and the one deliberately unpicklable
+thing -- an opaque predicate closure -- fails with a clear
+:class:`~repro.errors.SerializationError` instead of a cryptic pickling
+backtrace.  The pool test at the bottom runs real ``fork`` and ``spawn``
+workers, because ``spawn`` re-imports everything and is where naive
+``__reduce__`` implementations break.
 """
 
 from __future__ import annotations
