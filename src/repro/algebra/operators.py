@@ -33,11 +33,17 @@ __all__ = [
     "join",
     "rename",
     "validate_rename",
+    "require_same_semiring",
     "intersection",
 ]
 
 
-def _require_same_semiring(left: KRelation, right: KRelation) -> Semiring:
+def require_same_semiring(left: KRelation, right: KRelation) -> Semiring:
+    """The semiring two combined relations share; mixing semirings raises.
+
+    Shared with the relation-level kernels (:mod:`repro.engine.kernels`) so
+    both reject the same mixtures.
+    """
     if left.semiring.name != right.semiring.name:
         raise QueryError(
             f"cannot combine relations over different semirings "
@@ -53,7 +59,7 @@ def empty(semiring: Semiring, schema: Schema | Iterable[str]) -> KRelation:
 
 def union(left: KRelation, right: KRelation) -> KRelation:
     """Union of two union-compatible relations; annotations are added."""
-    semiring = _require_same_semiring(left, right)
+    semiring = require_same_semiring(left, right)
     if not left.schema.is_compatible_with(right.schema):
         raise SchemaError(
             f"union requires identical attribute sets: {left.schema} vs {right.schema}"
@@ -119,7 +125,7 @@ def join(left: KRelation, right: KRelation) -> KRelation:
     multiplied as ``left · right``, matching Definition 3.2 regardless of
     which side was indexed.
     """
-    semiring = _require_same_semiring(left, right)
+    semiring = require_same_semiring(left, right)
     shared = sorted(left.schema.attribute_set & right.schema.attribute_set)
     result_schema = left.schema.join(right.schema)
     result = KRelation(semiring, result_schema)

@@ -589,8 +589,8 @@ class _SemiNaiveEngine:
         try:
             probe_needed = {p for p, _ in key} | {k for side, k in head if side == "p"}
             probe_cols = {
-                position: _vectorized._encode_column(
-                    [values[position] for values, _ in driver_rows]
+                position: _vectorized.ColumnEncoder.encode(
+                    values[position] for values, _ in driver_rows
                 )
                 for position in probe_needed
             }
@@ -602,7 +602,7 @@ class _SemiNaiveEngine:
                 for position in build_needed
             }
             build_ann = self._build_annotations(step_predicate)
-        except (TypeError, _vectorized._Fallback):
+        except (TypeError, ValueError):
             return False  # unhashable / unliftable values: row path instead
         return _vectorized.fire_linear_join(
             ops,

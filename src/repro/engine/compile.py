@@ -62,15 +62,12 @@ from repro.algebra.operators import validate_rename
 from repro.engine.kernels import build_relation, hash_join_rows
 from repro.errors import QueryError, SchemaError
 from repro.obs import trace as _trace
+from repro.planner.cost import DEFAULT_SELECTIVITY
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.tuples import Tup
 
 __all__ = ["compile_query", "execute", "drain", "resolve_execution_storage"]
-
-#: Selectivity assumed for a fused predicate when sizing join build sides
-#: (mirrors the planner's :data:`repro.planner.cost.DEFAULT_SELECTIVITY`).
-_FILTER_SELECTIVITY = 1.0 / 3.0
 
 Row = tuple
 Filter = Callable[[Row], Any]
@@ -383,7 +380,7 @@ def compile_query(query: Query, database: Database) -> _Node:
         node = compile_query(query.child, database)
         node.filters.append(_compile_predicate(query.predicate, node))
         node.filter_labels.append(describe_predicate(query.predicate))
-        node.estimate *= _FILTER_SELECTIVITY
+        node.estimate *= DEFAULT_SELECTIVITY
         return node
     if isinstance(query, Project):
         node = compile_query(query.child, database)

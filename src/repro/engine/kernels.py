@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
-from repro.errors import QueryError
+from repro.algebra.operators import require_same_semiring
 from repro.obs import trace as _trace
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
@@ -208,12 +208,7 @@ def _shared_storage(*relations: KRelation) -> str | None:
 
 
 def _join_relations(left: KRelation, right: KRelation) -> KRelation:
-    if left.semiring.name != right.semiring.name:
-        raise QueryError(
-            f"cannot combine relations over different semirings "
-            f"({left.semiring.name} vs {right.semiring.name})"
-        )
-    semiring = left.semiring
+    semiring = require_same_semiring(left, right)
     result_schema = left.schema.join(right.schema)
     out_storage = _shared_storage(left, right)
     if not left or not right:

@@ -20,24 +20,30 @@ loop per row; this module evaluates the same positive-algebra plans one
 * canonical :class:`~repro.relations.tuples.Tup` objects are rebuilt only
   for the final result rows.
 
-**Exactness.**  Only semirings whose carrier maps losslessly onto a numpy
-dtype are vectorized -- N and Z (``int64``, with explicit overflow guards
-that fall back to the scalar engine rather than wrap), Tropical, Fuzzy and
-Viterbi (``float64``; min/max/+/* on IEEE doubles are bit-identical to the
-scalar ``float`` path), and B (``bool``).  Their ``+`` is commutative *and*
-order-insensitive on the carrier (sums of ints, min/max of floats, or of
-bools), so regrouping contributions per output tuple yields exactly the
-annotations the row-at-a-time engines produce; the differential harnesses
-in ``tests/engine`` assert this.  Everything else -- polynomials, circuits,
-event sets, ``N-inf`` -- and every plan shape this module does not cover
-(opaque predicates, non-total comparisons) falls back to the row engine,
-which works on either storage backend.
+**Exactness.**  Only semirings that declare a
+:attr:`~repro.semirings.base.Semiring.vector_carrier` -- a numpy dtype
+their carrier maps onto losslessly, plus the ufuncs computing ``+`` and
+``.`` on it -- are vectorized: N and Z (``int64``, with explicit overflow
+guards that fall back to the scalar engine rather than wrap), Tropical,
+Fuzzy and Viterbi (``float64``; min/max/+/* on IEEE doubles are
+bit-identical to the scalar ``float`` path), and B (``bool``).  Their ``+``
+is commutative *and* order-insensitive on the carrier (sums of ints,
+min/max of floats, or of bools), so regrouping contributions per output
+tuple yields exactly the annotations the row-at-a-time engines produce; the
+differential harnesses in ``tests/engine`` assert this.  Everything else --
+polynomials, circuits, event sets, ``N-inf`` -- and every plan shape this
+module does not cover (opaque predicates, non-total comparisons) falls back
+to the row engine, which works on either storage backend.
 
-Dispatch is by ``semiring.name``, so the annotation-identical
-:class:`~repro.obs.semiring.InstrumentedSemiring` wrapper also takes the
-vectorized path -- its per-op counters then see only the residual scalar
-work, which is precisely the point: ``BENCH_*.json`` op counts attribute
-the columnar speedup to Python-level semiring calls that no longer happen.
+Dispatch is by that declaration alone: :func:`vector_ops_for` builds one
+:class:`VectorOps` from ``vector_carrier`` and ``semiring.zero()``, so a new
+exact semiring opts in by declaring its carrier on its class, and a
+semiring that merely shares a name with a vectorizable one does not.  The
+annotation-identical :class:`~repro.obs.semiring.InstrumentedSemiring`
+mirrors its delegate's declaration and so takes the vectorized path too --
+its per-op counters then see only the residual scalar work, which is
+precisely the point: ``BENCH_*.json`` op counts attribute the columnar
+speedup to Python-level semiring calls that no longer happen.
 """
 
 from __future__ import annotations
@@ -103,8 +109,12 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-class _Fallback(Exception):
-    """Internal: this plan/instance cannot be vectorized exactly; use rows."""
+class _Fallback(ValueError):
+    """Internal: this plan/instance cannot be vectorized exactly; use rows.
+
+    A ``ValueError``, so callers outside this module that lift values with
+    :meth:`VectorOps.to_array` can catch it without naming it.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -113,154 +123,65 @@ class _Fallback(Exception):
 
 
 class VectorOps:
-    """Array-at-a-time ``(+, ., 0)`` for one numeric carrier.
+    """Array-at-a-time ``(+, ., 0)`` for a semiring's declared numpy carrier.
 
-    ``to_array`` lifts a sequence of carrier values; ``mul`` multiplies two
-    annotation arrays elementwise; ``accumulate`` combines all contributions
-    landing in the same output group with the semiring's ``+`` (one
-    ``ufunc.at`` scatter); ``zero_mask`` flags groups that summed to the
-    semiring zero (possible under Z's cancellation); ``to_python`` lowers a
-    numpy scalar back to the exact carrier type the scalar engine uses.
+    Built from :attr:`~repro.semirings.base.Semiring.vector_carrier` and
+    ``semiring.zero()``.  ``to_array`` lifts a sequence of carrier values;
+    ``mul`` multiplies two annotation arrays elementwise; ``accumulate``
+    combines all contributions landing in the same output group with the
+    semiring's ``+`` (one ``ufunc.at`` scatter); ``zero_mask`` flags values
+    equal to the semiring zero (possible under Z's cancellation).  On
+    ``int64`` the products and sums are guarded: an operation that could
+    leave the dtype falls back to the exact scalar engine instead of
+    wrapping.
     """
 
-    name = "abstract"
+    __slots__ = ("dtype", "zero", "_add", "_mul", "_guarded")
+
+    def __init__(self, carrier: Tuple[str, str, str], zero: Any):
+        dtype, add, mul = carrier
+        self.dtype = _np.dtype(dtype)
+        self.zero = zero
+        self._add = getattr(_np, add)
+        self._mul = getattr(_np, mul)
+        self._guarded = self.dtype == _np.int64
 
     def to_array(self, values: Iterable[Any]):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def accumulate(self, values, group_ids, n_groups):
-        raise NotImplementedError
-
-    def zero_mask(self, totals):
-        raise NotImplementedError
-
-    def to_python(self, value) -> Any:
-        raise NotImplementedError
-
-
-class _IntSumOps(VectorOps):
-    """N and Z: ``int64`` arrays with exact overflow guards."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def to_array(self, values):
+        """Lift ``values``; raises ``ValueError`` when one has no exact image."""
         try:
-            return _np.array(list(values), dtype=_np.int64)
+            return _np.array(list(values), dtype=self.dtype)
         except (OverflowError, TypeError, ValueError):
             raise _Fallback from None
 
     def mul(self, a, b):
-        if len(a):
-            bound = int(_np.abs(a).max()) * int(_np.abs(b).max())
-            if bound > _INT64_GUARD:
+        if self._guarded and len(a):
+            if int(_np.abs(a).max()) * int(_np.abs(b).max()) > _INT64_GUARD:
                 raise _Fallback
-        return a * b
+        return self._mul(a, b)
 
     def accumulate(self, values, group_ids, n_groups):
-        if len(values):
-            bound = len(values) * int(_np.abs(values).max())
-            if bound > _INT64_GUARD:
+        if self._guarded and len(values):
+            if len(values) * int(_np.abs(values).max()) > _INT64_GUARD:
                 raise _Fallback
-        totals = _np.zeros(n_groups, dtype=_np.int64)
-        _np.add.at(totals, group_ids, values)
+        totals = _np.full(n_groups, self.zero, dtype=self.dtype)
+        self._add.at(totals, group_ids, values)
         return totals
 
     def zero_mask(self, totals):
-        return totals == 0
-
-    def to_python(self, value) -> int:
-        return int(value)
-
-
-class _FloatOps(VectorOps):
-    """Tropical / Fuzzy / Viterbi: ``float64`` min/max/+/* (IEEE-exact)."""
-
-    def __init__(self, name: str, add_ufunc, mul_kind: str, zero: float):
-        self.name = name
-        self._add_ufunc = add_ufunc  # np.minimum or np.maximum
-        self._mul_kind = mul_kind  # "sum" (tropical) | "min" | "product"
-        self._zero = zero
-
-    def to_array(self, values):
-        try:
-            return _np.array(list(values), dtype=_np.float64)
-        except (TypeError, ValueError):
-            raise _Fallback from None
-
-    def mul(self, a, b):
-        if self._mul_kind == "sum":
-            return a + b
-        if self._mul_kind == "min":
-            return _np.minimum(a, b)
-        return a * b
-
-    def accumulate(self, values, group_ids, n_groups):
-        totals = _np.full(n_groups, self._zero, dtype=_np.float64)
-        self._add_ufunc.at(totals, group_ids, values)
-        return totals
-
-    def zero_mask(self, totals):
-        return totals == self._zero
-
-    def to_python(self, value) -> float:
-        return float(value)
-
-
-class _BoolOps(VectorOps):
-    """B: boolean arrays, ``+`` = or, ``.`` = and."""
-
-    name = "B"
-
-    def to_array(self, values):
-        return _np.array([bool(v) for v in values], dtype=bool)
-
-    def mul(self, a, b):
-        return a & b
-
-    def accumulate(self, values, group_ids, n_groups):
-        totals = _np.zeros(n_groups, dtype=bool)
-        _np.logical_or.at(totals, group_ids, values)
-        return totals
-
-    def zero_mask(self, totals):
-        return ~totals
-
-    def to_python(self, value) -> bool:
-        return bool(value)
-
-
-def _build_ops_table() -> Dict[str, VectorOps]:
-    if _np is None:
-        return {}
-    return {
-        "N": _IntSumOps("N"),
-        "Z": _IntSumOps("Z"),
-        "Tropical": _FloatOps("Tropical", _np.minimum, "sum", float("inf")),
-        "Fuzzy": _FloatOps("Fuzzy", _np.maximum, "min", 0.0),
-        "Viterbi": _FloatOps("Viterbi", _np.maximum, "product", 0.0),
-        "B": _BoolOps(),
-    }
-
-
-_OPS_BY_NAME: Dict[str, VectorOps] = _build_ops_table()
+        return totals == self.zero
 
 
 def vector_ops_for(semiring: Semiring) -> VectorOps | None:
     """The vector arithmetic for ``semiring``, or ``None`` when unavailable.
 
-    Dispatch is by name so the annotation-identical instrumented wrapper
-    (:class:`repro.obs.semiring.InstrumentedSemiring`) vectorizes exactly
-    like the semiring it wraps.  Checked against the runtime at call time
-    (not just import time) so every vectorized entry point declines
-    together when numpy is unavailable.
+    ``None`` unless the semiring declares a ``vector_carrier`` (the
+    instrumented wrapper mirrors its delegate's).  Checked against the
+    runtime at call time (not just import time) so every vectorized entry
+    point declines together when numpy is unavailable.
     """
-    if _np is None:
+    if _np is None or semiring.vector_carrier is None:
         return None
-    return _OPS_BY_NAME.get(semiring.name)
+    return VectorOps(semiring.vector_carrier, semiring.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +240,61 @@ def _object_array(values: list):
     return array
 
 
-def _encode_column(values) -> _Col:
-    """Dictionary-encode a raw value sequence with a hash table.
+class ColumnEncoder:
+    """Incremental dictionary encoder for an append-only value stream.
 
-    Hash-based interning matches the dict-equality grouping of the row
-    engines exactly (no reliance on a total order over the domain).
+    The one value-interning routine of this module: scans encode with
+    :meth:`encode`, and :func:`_unify` re-codes two alphabets through one
+    encoder.  The semi-naive engine's per-predicate stores only ever *grow*
+    during a fixpoint run, so each round extends the encoding with the new
+    suffix instead of re-encoding the whole column (:meth:`extend` is the
+    only Python-level per-value work; :meth:`column` is a C-level array
+    build).  Unhashable values raise ``TypeError`` out of :meth:`intern` --
+    callers fall back to the row engine.
     """
-    table: Dict[Any, int] = {}
-    alphabet: list = []
-    codes = _np.empty(len(values), dtype=_np.int64)
-    for i, value in enumerate(values):
-        code = table.get(value)
-        if code is None:
-            code = len(alphabet)
-            table[value] = code
-            alphabet.append(value)
-        codes[i] = code
-    return _Col(codes, _object_array(alphabet))
+
+    __slots__ = ("_table", "_alphabet", "_codes")
+
+    def __init__(self):
+        self._table: Dict[Any, int] = {}
+        self._alphabet: list = []
+        self._codes: list = []
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    @classmethod
+    def encode(cls, values: Iterable[Any]) -> _Col:
+        """Dictionary-encode ``values`` in one shot."""
+        encoder = cls()
+        codes = encoder.intern(values)
+        return _Col(_np.array(codes, dtype=_np.int64), encoder.alphabet())
+
+    def intern(self, values: Iterable[Any]) -> list:
+        """The codes of ``values``, growing the alphabet with unseen ones.
+
+        Hash-based interning matches the dict-equality grouping of the row
+        engines exactly (no reliance on a total order over the domain).
+        """
+        table, alphabet = self._table, self._alphabet
+        codes = []
+        for value in values:
+            code = table.get(value)
+            if code is None:
+                code = table[value] = len(alphabet)
+                alphabet.append(value)
+            codes.append(code)
+        return codes
+
+    def extend(self, values: Iterable[Any]) -> None:
+        self._codes.extend(self.intern(values))
+
+    def alphabet(self):
+        """The distinct values seen so far, as an object array."""
+        return _object_array(self._alphabet)
+
+    def column(self) -> _Col:
+        return _Col(_np.array(self._codes, dtype=_np.int64), self.alphabet())
 
 
 def _scan_batch(relation: KRelation, ops: VectorOps) -> _Batch:
@@ -353,7 +312,7 @@ def _scan_batch(relation: KRelation, ops: VectorOps) -> _Batch:
             columns, ann_values = cache[1], cache[2]
         else:
             columns = {
-                attribute: _encode_column(column)
+                attribute: ColumnEncoder.encode(column)
                 for attribute, column in zip(store.attributes, store.columns)
             }
             ann_values = list(store.annotations)
@@ -366,60 +325,34 @@ def _scan_batch(relation: KRelation, ops: VectorOps) -> _Batch:
         for bucket, (_, value) in zip(raw, tup._items):
             bucket.append(value)
         annotations.append(annotation)
-    columns = {a: _encode_column(bucket) for a, bucket in zip(attributes, raw)}
+    columns = {a: ColumnEncoder.encode(bucket) for a, bucket in zip(attributes, raw)}
     return _Batch(display, columns, ops.to_array(annotations))
 
 
-def _align(left: _Col, right: _Col) -> Tuple[Any, Any, int]:
-    """Re-code two columns into one shared alphabet: ``(lcodes, rcodes, size)``.
+def _unify(left: _Col, right: _Col) -> Tuple[_Col, _Col]:
+    """Re-code two columns over one shared alphabet, so their codes compare.
 
     Only the (small) alphabets are touched with Python-level hashing; the
     code arrays remap with one fancy-index gather each.
     """
-    table: Dict[Any, int] = {}
-    left_map = _np.empty(len(left.uniques), dtype=_np.int64)
-    for i, value in enumerate(left.uniques):
-        left_map[i] = table.setdefault(value, len(table))
-    right_map = _np.empty(len(right.uniques), dtype=_np.int64)
-    for i, value in enumerate(right.uniques):
-        right_map[i] = table.setdefault(value, len(table))
-    size = len(table)
-    lcodes = left_map[left.codes] if len(left.codes) else left.codes
-    rcodes = right_map[right.codes] if len(right.codes) else right.codes
-    return lcodes, rcodes, size
+    encoder = ColumnEncoder()
+    left_map = _np.array(encoder.intern(left.uniques), dtype=_np.int64)
+    right_map = _np.array(encoder.intern(right.uniques), dtype=_np.int64)
+    uniques = encoder.alphabet()
+    return _Col(left_map[left.codes], uniques), _Col(right_map[right.codes], uniques)
 
 
 def _merged_col(left: _Col, right: _Col) -> _Col:
     """The concatenation of two columns over their shared alphabet."""
-    table: Dict[Any, int] = {}
-    alphabet: list = []
-    left_map = _np.empty(len(left.uniques), dtype=_np.int64)
-    for i, value in enumerate(left.uniques):
-        code = table.get(value)
-        if code is None:
-            code = len(alphabet)
-            table[value] = code
-            alphabet.append(value)
-        left_map[i] = code
-    right_map = _np.empty(len(right.uniques), dtype=_np.int64)
-    for i, value in enumerate(right.uniques):
-        code = table.get(value)
-        if code is None:
-            code = len(alphabet)
-            table[value] = code
-            alphabet.append(value)
-        right_map[i] = code
-    codes = _np.concatenate(
-        [
-            left_map[left.codes] if len(left.codes) else left.codes,
-            right_map[right.codes] if len(right.codes) else right.codes,
-        ]
-    )
-    return _Col(codes, _object_array(alphabet))
+    left, right = _unify(left, right)
+    return _Col(_np.concatenate([left.codes, right.codes]), left.uniques)
 
 
-def _combine_codes(columns: list) -> Any:
-    """Mixed-radix combination of several columns' codes into one row code."""
+def _combine_codes(columns: list, n: int) -> Any:
+    """Mixed-radix combination of several columns' codes into one row code.
+
+    ``n`` rows; with no columns every row gets code 0 (one group).
+    """
     combined = None
     radix = 1
     for column in columns:
@@ -431,7 +364,40 @@ def _combine_codes(columns: list) -> Any:
                 raise _Fallback
             combined = combined * size + column.codes
             radix *= size
-    return combined
+    return _np.zeros(n, dtype=_np.int64) if combined is None else combined
+
+
+def _key_codes(pairs: list, n_left: int, n_right: int) -> Tuple[Any, Any]:
+    """Comparable row codes for both sides of an equi-join.
+
+    ``pairs`` lists the ``(left column, right column)`` of each key
+    attribute; each pair is unified over both sides' alphabets, then each
+    side's columns combine into one mixed-radix code per row.  No keys give
+    all-zero codes, so :func:`_match` yields the cross product.
+    """
+    unified = [_unify(left, right) for left, right in pairs]
+    return (
+        _combine_codes([left for left, _ in unified], n_left),
+        _combine_codes([right for _, right in unified], n_right),
+    )
+
+
+def _match(build_codes, probe_codes) -> Tuple[Any, Any]:
+    """Every ``(build index, probe index)`` pair with equal codes.
+
+    Sorts the build side once, finds each probe row's bucket with two
+    binary searches and expands the pairs without a Python-level loop.
+    """
+    order = _np.argsort(build_codes, kind="stable")
+    sorted_codes = build_codes[order]
+    lo = _np.searchsorted(sorted_codes, probe_codes, side="left")
+    hi = _np.searchsorted(sorted_codes, probe_codes, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    probe_index = _np.repeat(_np.arange(len(probe_codes)), counts)
+    exclusive = _np.cumsum(counts) - counts
+    offsets = _np.arange(total) - _np.repeat(exclusive, counts)
+    return order[_np.repeat(lo, counts) + offsets], probe_index
 
 
 def _group(batch: _Batch, keep: Tuple[str, ...], display: Tuple[str, ...], ops: VectorOps) -> _Batch:
@@ -439,7 +405,7 @@ def _group(batch: _Batch, keep: Tuple[str, ...], display: Tuple[str, ...], ops: 
     n = len(batch)
     if n == 0:
         return _Batch(display, {a: batch.columns[a] for a in keep}, batch.ann)
-    codes = _combine_codes([batch.columns[a] for a in keep])
+    codes = _combine_codes([batch.columns[a] for a in keep], n)
     _, first_index, inverse = _np.unique(
         codes, return_index=True, return_inverse=True
     )
@@ -485,10 +451,10 @@ def _predicate_mask(predicate: Any, batch: _Batch):
     if isinstance(predicate, FalsePredicate):
         return _np.zeros(n, dtype=bool)
     if isinstance(predicate, AttrEquals):
-        lcodes, rcodes, _ = _align(
+        left, right = _unify(
             batch.columns[predicate.left], batch.columns[predicate.right]
         )
-        return lcodes == rcodes
+        return left.codes == right.codes
     if isinstance(predicate, AttrEqualsConst):
         return _const_mask(batch.columns[predicate.attribute], predicate.constant)
     if isinstance(predicate, AttrNotEqualsConst):
@@ -529,50 +495,13 @@ def _join_batches(left: _Batch, right: _Batch, ops: VectorOps) -> _Batch:
     shared = sorted(set(left.columns) & set(right.columns))
     extras = tuple(a for a in right.display if a not in left.columns)
     display = left.display + extras
-    n_left, n_right = len(left), len(right)
-
-    if not shared:
-        left_index = _np.repeat(_np.arange(n_left), n_right)
-        right_index = _np.tile(_np.arange(n_right), n_left)
+    left_codes, right_codes = _key_codes(
+        [(left.columns[a], right.columns[a]) for a in shared], len(left), len(right)
+    )
+    if len(left) <= len(right):
+        left_index, right_index = _match(left_codes, right_codes)
     else:
-        # Re-code each shared attribute over BOTH sides' alphabets at once
-        # so the integer codes are comparable across the join, then combine
-        # per-attribute codes into one mixed-radix row code per side.
-        left_codes = right_codes = None
-        radix = 1
-        for attribute in shared:
-            lcodes, rcodes, size = _align(
-                left.columns[attribute], right.columns[attribute]
-            )
-            size = max(size, 1)
-            if left_codes is None:
-                left_codes, right_codes, radix = lcodes, rcodes, size
-            else:
-                if radix * size > _INT64_GUARD:
-                    raise _Fallback
-                left_codes = left_codes * size + lcodes
-                right_codes = right_codes * size + rcodes
-                radix *= size
-
-        if n_left <= n_right:
-            build_codes, probe_codes, build_is_left = left_codes, right_codes, True
-        else:
-            build_codes, probe_codes, build_is_left = right_codes, left_codes, False
-        order = _np.argsort(build_codes, kind="stable")
-        sorted_codes = build_codes[order]
-        lo = _np.searchsorted(sorted_codes, probe_codes, side="left")
-        hi = _np.searchsorted(sorted_codes, probe_codes, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        probe_index = _np.repeat(_np.arange(len(probe_codes)), counts)
-        exclusive = _np.cumsum(counts) - counts
-        offsets = _np.arange(total) - _np.repeat(exclusive, counts)
-        build_index = order[_np.repeat(lo, counts) + offsets]
-        if build_is_left:
-            left_index, right_index = build_index, probe_index
-        else:
-            left_index, right_index = probe_index, build_index
-
+        right_index, left_index = _match(right_codes, left_codes)
     ann = ops.mul(left.ann[left_index], right.ann[right_index])
     columns = {a: column.take(left_index) for a, column in left.columns.items()}
     for attribute in extras:
@@ -607,43 +536,6 @@ def _rename_batch(batch: _Batch, mapping: Dict[str, str]) -> _Batch:
 # ---------------------------------------------------------------------------
 
 
-class ColumnEncoder:
-    """Incremental dictionary encoder for an append-only value stream.
-
-    The semi-naive engine's per-predicate stores only ever *grow* during a
-    fixpoint run, so each round extends the encoding with the new suffix
-    instead of re-encoding the whole column (:meth:`extend` is the only
-    Python-level per-value work; :meth:`column` is a C-level array build).
-    Unhashable values raise ``TypeError`` out of :meth:`extend` -- callers
-    fall back to the row engine.
-    """
-
-    __slots__ = ("_table", "_alphabet", "_codes")
-
-    def __init__(self):
-        self._table: Dict[Any, int] = {}
-        self._alphabet: list = []
-        self._codes: list = []
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def extend(self, values: Iterable[Any]) -> None:
-        table, alphabet, codes = self._table, self._alphabet, self._codes
-        for value in values:
-            code = table.get(value)
-            if code is None:
-                code = len(alphabet)
-                table[value] = code
-                alphabet.append(value)
-            codes.append(code)
-
-    def column(self) -> _Col:
-        return _Col(
-            _np.array(self._codes, dtype=_np.int64), _object_array(self._alphabet)
-        )
-
-
 def fire_linear_join(
     ops: VectorOps,
     probe_cols: Dict[Any, _Col],
@@ -661,7 +553,7 @@ def fire_linear_join(
     ``(probe key, build key)`` column pairs to equi-join on and ``head``
     lists ``("p" | "b", key)`` sources for each head position.  Matching
     pairs are found with the sorted-build / binary-search probe of
-    :func:`_join_batches`, annotations multiply array-at-a-time, and all
+    :func:`_match`, annotations multiply array-at-a-time, and all
     contributions to the same head tuple are combined with one ``ufunc.at``
     scatter -- the batched accumulation of ``_merge``, performed before the
     contributions ever become Python objects.  One grouped total per head
@@ -674,38 +566,12 @@ def fire_linear_join(
     try:
         if len(probe_ann) == 0 or len(build_ann) == 0:
             return True
-        pcodes = bcodes = None
-        radix = 1
-        for probe_key, build_key in key:
-            lcodes, rcodes, size = _align(probe_cols[probe_key], build_cols[build_key])
-            size = max(size, 1)
-            if pcodes is None:
-                pcodes, bcodes, radix = lcodes, rcodes, size
-            else:
-                if radix * size > _INT64_GUARD:
-                    raise _Fallback
-                pcodes = pcodes * size + lcodes
-                bcodes = bcodes * size + rcodes
-                radix *= size
-
-        if pcodes is None:  # no shared variables: cross product
-            n_probe, n_build = len(probe_ann), len(build_ann)
-            probe_index = _np.repeat(_np.arange(n_probe), n_build)
-            build_index = _np.tile(_np.arange(n_build), n_probe)
-        else:
-            order = _np.argsort(bcodes, kind="stable")
-            sorted_codes = bcodes[order]
-            lo = _np.searchsorted(sorted_codes, pcodes, side="left")
-            hi = _np.searchsorted(sorted_codes, pcodes, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                return True
-            probe_index = _np.repeat(_np.arange(len(pcodes)), counts)
-            exclusive = _np.cumsum(counts) - counts
-            offsets = _np.arange(total) - _np.repeat(exclusive, counts)
-            build_index = order[_np.repeat(lo, counts) + offsets]
-
+        pcodes, bcodes = _key_codes(
+            [(probe_cols[p], build_cols[b]) for p, b in key],
+            len(probe_ann),
+            len(build_ann),
+        )
+        build_index, probe_index = _match(bcodes, pcodes)
         ann = ops.mul(probe_ann[probe_index], build_ann[build_index])
         out_cols = [
             probe_cols[k].take(probe_index)
@@ -713,7 +579,7 @@ def fire_linear_join(
             else build_cols[k].take(build_index)
             for side, k in head
         ]
-        combined = _combine_codes(out_cols)
+        combined = _combine_codes(out_cols, len(ann))
         _, first_index, inverse = _np.unique(
             combined, return_index=True, return_inverse=True
         )

@@ -54,6 +54,7 @@ class InstrumentedSemiring(Semiring):
         self.has_top = delegate.has_top
         self.naturally_ordered = delegate.naturally_ordered
         self.has_negation = delegate.has_negation
+        self.vector_carrier = delegate.vector_carrier
 
     def __reduce__(self):
         # Pickles by reconstruction so another process gets a working

@@ -63,7 +63,9 @@ DEFAULT_CARDINALITY = 100.0
 #: Distinct-count assumed for attributes without collected statistics.
 DEFAULT_DISTINCT = 10.0
 
-#: Selectivity assumed for predicates the model cannot analyze.
+#: Selectivity assumed for predicates the model cannot analyze; the
+#: pipelined engine also scales a fused filter's input estimate by it when
+#: sizing join build sides.
 DEFAULT_SELECTIVITY = 1.0 / 3.0
 
 

@@ -34,6 +34,10 @@ structure used by later sections of the paper:
   makes materialized views over K-relations maintainable under arbitrary
   update streams (:mod:`repro.incremental`); plain semirings support only
   insertions incrementally and fall back to recomputation for deletions.
+* ``vector_carrier`` -- the numpy image of ``(K, +, .)`` as
+  ``(dtype, + ufunc, . ufunc)`` names, declared only by semirings whose
+  carrier maps losslessly onto a numpy dtype.  The whole-column kernels of
+  :mod:`repro.engine.vectorized` run exactly the semirings that declare it.
 """
 
 from __future__ import annotations
@@ -84,6 +88,14 @@ class Semiring:
     #: the structures over which deletions propagate incrementally through
     #: materialized views (:mod:`repro.incremental`).
     has_negation: bool = False
+
+    #: ``(dtype, add ufunc, mul ufunc)`` as numpy names, e.g.
+    #: ``("int64", "add", "multiply")``, when the carrier embeds exactly into
+    #: a numpy dtype on which those ufuncs compute ``+`` and ``.``; ``None``
+    #: (the default) keeps the semiring on the row-at-a-time kernels.  Names,
+    #: not objects, so this package never imports numpy.  A subclass that
+    #: redefines ``add``/``mul``/``zero`` must reset it.
+    vector_carrier: tuple[str, str, str] | None = None
 
     # ------------------------------------------------------------------
     # Core interface

@@ -27,6 +27,7 @@ class BooleanSemiring(Semiring):
     is_omega_continuous = True
     is_distributive_lattice = True
     has_top = True
+    vector_carrier = ("bool", "logical_or", "logical_and")
 
     def zero(self) -> bool:
         return False

@@ -40,6 +40,7 @@ class FuzzySemiring(Semiring):
     is_omega_continuous = True
     is_distributive_lattice = True
     has_top = True
+    vector_carrier = ("float64", "maximum", "minimum")
 
     def zero(self) -> float:
         return 0.0
@@ -83,6 +84,7 @@ class ViterbiSemiring(Semiring):
     is_omega_continuous = True
     is_distributive_lattice = False
     has_top = True
+    vector_carrier = ("float64", "maximum", "multiply")
 
     def zero(self) -> float:
         return 0.0

@@ -46,6 +46,7 @@ class IntegerRing(Semiring):
     is_omega_continuous = False
     has_negation = True
     naturally_ordered = False
+    vector_carrier = ("int64", "add", "multiply")
 
     def zero(self) -> int:
         return 0

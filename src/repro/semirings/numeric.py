@@ -151,6 +151,7 @@ class NaturalsSemiring(Semiring):
     name = "N"
     idempotent_add = False
     is_omega_continuous = False
+    vector_carrier = ("int64", "add", "multiply")
 
     def zero(self) -> int:
         return 0

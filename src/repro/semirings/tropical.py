@@ -39,6 +39,7 @@ class TropicalSemiring(Semiring):
     has_top = True
     # min/+ is not a lattice in the (join, meet) sense used by Section 8.
     is_distributive_lattice = False
+    vector_carrier = ("float64", "minimum", "add")
 
     def zero(self) -> float:
         return math.inf

@@ -12,7 +12,9 @@ naive datalog fixpoint).
 Semirings the kernels cannot vectorize (polynomials, circuits) must fall
 back to the row loop rather than approximate, so they stay in the matrix.
 The int64 cases pin the other half of that contract: numeric carriers whose
-sums or products could wrap fall back to exact Python arithmetic.
+sums or products could wrap fall back to exact Python arithmetic.  The
+kernels are chosen by each semiring's declared ``vector_carrier``, so N[X]
+under the borrowed name ``B`` or ``N`` must stay on the row loop too.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.semirings import (
     BooleanSemiring,
     IntegerRing,
     NaturalsSemiring,
+    PolynomialSemiring,
     PosBoolSemiring,
     ProvenancePolynomialSemiring,
     TropicalSemiring,
@@ -314,3 +317,28 @@ def test_small_values_match_python_fold(storage):
     assert {tup["a"]: result.annotation(tup) for tup in result.support} == {
         i: 2 * i + 3 for i in range(50)
     }
+
+
+# -- the vector kernels are chosen by declaration, not by name --------------------
+@pytest.mark.parametrize("name", ["B", "N"])
+def test_vectorization_follows_the_carrier_not_the_name(name):
+    """N[X] under a vectorizable semiring's name keeps its polynomials.
+
+    Two paths reach ``(a, c)``, so the projection sums two monomials; a
+    kernel chosen by name would coerce them into bools or ints instead.
+    """
+    semiring = PolynomialSemiring(name=name)
+    x, y, u, v = (semiring.var(n) for n in "xyuv")
+    db = Database(semiring)
+    db.register(
+        "R", _relation(semiring, ["x", "y"], [(("a", "m"), x), (("a", "n"), y)])
+    )
+    db.register(
+        "S", _relation(semiring, ["x", "y"], [(("m", "c"), u), (("n", "c"), v)])
+    )
+    query = two_hop_query()
+    row = query.evaluate(db, executor="pipelined", storage="row")
+    columnar = query.evaluate(db, executor="pipelined", storage="columnar")
+    assert_same_relation(row, columnar)
+    expected = semiring.add(semiring.mul(x, u), semiring.mul(y, v))
+    assert columnar.annotation({"x": "a", "y": "c"}) == expected

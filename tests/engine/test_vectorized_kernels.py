@@ -4,18 +4,47 @@ The differential harnesses prove the vectorized engine *agrees* with the
 row engine end-to-end; this file pins down the pieces in isolation --
 ``ColumnEncoder``'s incremental dictionary encoding, ``fire_linear_join``'s
 grouped totals (including deliberate zero totals under a ring), the
-numpy-missing degradation, and row/columnar equality of the semi-naive
-engine over every vectorizable semiring plus a non-vectorizable control.
+``vector_carrier`` declarations the kernels dispatch on, the numpy-missing
+degradation, and row/columnar equality of the semi-naive engine over every
+vectorizable semiring plus a non-vectorizable control.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.circuits import CircuitSemiring
 from repro.datalog import evaluate_program
 from repro.engine import vectorized
-from repro.semirings import get_semiring
-from repro.workloads import random_graph_database, transitive_closure_program
+from repro.obs.semiring import instrument
+from repro.semirings import (
+    BooleanSemiring,
+    CompletedNaturalsSemiring,
+    EventSemiring,
+    EventSpace,
+    FuzzySemiring,
+    IntegerPolynomialRing,
+    IntegerRing,
+    NaturalsSemiring,
+    PolynomialSemiring,
+    PosBoolSemiring,
+    PowerSeriesSemiring,
+    ProductSemiring,
+    Semiring,
+    TropicalSemiring,
+    ViterbiSemiring,
+    WhyProvenanceSemiring,
+    WitnessWhySemiring,
+    available_semirings,
+    get_semiring,
+)
+from repro.workloads import (
+    random_annotation,
+    random_graph_database,
+    transitive_closure_program,
+)
 
 requires_numpy = pytest.mark.skipif(
     not vectorized.numpy_available(),
@@ -121,6 +150,97 @@ class TestFireLinearJoin:
             emit=emit,
         )
         assert emit == {}
+
+
+# -- the vector_carrier declarations ----------------------------------------------
+
+#: The semirings that declare a numpy carrier.
+VECTORIZED = [
+    NaturalsSemiring(),
+    IntegerRing(),
+    TropicalSemiring(),
+    FuzzySemiring(),
+    ViterbiSemiring(),
+    BooleanSemiring(),
+]
+
+#: Every other shipped semiring: their carriers have no exact numpy image.
+NOT_VECTORIZED = [
+    CompletedNaturalsSemiring(),
+    PolynomialSemiring(),
+    PolynomialSemiring(allow_infinite_coefficients=True),
+    PowerSeriesSemiring(),
+    IntegerPolynomialRing(),
+    PosBoolSemiring(),
+    WhyProvenanceSemiring(),
+    WitnessWhySemiring(),
+    CircuitSemiring(),
+    EventSemiring(EventSpace({"w1": 0.5, "w2": 0.5})),
+    ProductSemiring([BooleanSemiring(), NaturalsSemiring()]),
+    PolynomialSemiring(name="B"),  # a borrowed name is not a declaration
+]
+
+#: The capability attributes ``Semiring`` declares (flags and carrier).
+CAPABILITIES = [
+    key
+    for key, value in vars(Semiring).items()
+    if not key.startswith("_") and not callable(value)
+]
+
+
+def _samples(semiring, count=24):
+    rng = random.Random(7)
+    values = [random_annotation(semiring, rng, i) for i in range(count)]
+    values += [semiring.zero(), semiring.one()]
+    if semiring.has_negation:
+        values += [semiring.negate(value) for value in values[:6]]
+    return values
+
+
+def test_registry_carriers_are_exactly_the_declared_six():
+    declared = {
+        get_semiring(name).name
+        for name in available_semirings()
+        if get_semiring(name).vector_carrier is not None
+    }
+    assert declared == {semiring.name for semiring in VECTORIZED}
+
+
+@pytest.mark.parametrize("semiring", NOT_VECTORIZED, ids=str)
+def test_other_shipped_semirings_declare_no_carrier(semiring):
+    assert semiring.vector_carrier is None
+    assert vectorized.vector_ops_for(semiring) is None
+
+
+@requires_numpy
+@pytest.mark.parametrize("semiring", VECTORIZED, ids=str)
+def test_vector_ops_agree_with_the_scalar_operations(semiring):
+    ops = vectorized.vector_ops_for(semiring)
+    values = _samples(semiring)
+    rng = random.Random(11)
+    partners = rng.sample(values, len(values))
+    products = ops.mul(ops.to_array(values), ops.to_array(partners))
+    assert products.tolist() == [semiring.mul(a, b) for a, b in zip(values, partners)]
+
+    # Group 0 stays empty: its total must be the semiring zero.
+    groups = [rng.randrange(1, 5) for _ in values]
+    totals = ops.accumulate(ops.to_array(values), groups, 5)
+    assert totals.tolist() == [
+        semiring.sum(v for v, g in zip(values, groups) if g == k) for k in range(5)
+    ]
+    assert ops.zero_mask(ops.to_array(values)).tolist() == [
+        semiring.is_zero(value) for value in values
+    ]
+
+
+@pytest.mark.parametrize("semiring", VECTORIZED + NOT_VECTORIZED, ids=str)
+def test_instrumented_wrapper_mirrors_every_capability(semiring):
+    assert "vector_carrier" in CAPABILITIES
+    wrapper = instrument(semiring)
+    for key in CAPABILITIES:
+        # Set on the wrapper itself, not inherited from the Semiring default.
+        assert key in vars(wrapper), key
+        assert getattr(wrapper, key) == getattr(semiring, key), key
 
 
 #: Semirings whose annotate-mode semi-naive rounds vectorize, plus "nx"
