@@ -124,9 +124,7 @@ def _datalog_record(semiring, nodes, batches):
     for batch in stream:
         _, elapsed = _timed(lambda: maintained.insert("R", batch))
         incremental_time += elapsed
-        fresh, elapsed = _timed(
-            lambda: evaluate_program(program, database, engine="seminaive")
-        )
+        fresh, elapsed = _timed(lambda: evaluate_program(program, database))
         recompute_time += elapsed
     assert fresh is not None and maintained.result.annotations == fresh.annotations, (
         f"incremental datalog diverged from fresh evaluation ({semiring.name})"
@@ -165,9 +163,7 @@ def _deletion_record(semiring, length, deletions):
         _, elapsed = _timed(lambda: maintained.remove("R", [edge]))
         incremental_time += elapsed
         assert maintained.last_delete_mode == "dred"
-        fresh, elapsed = _timed(
-            lambda: evaluate_program(program, database, engine="seminaive")
-        )
+        fresh, elapsed = _timed(lambda: evaluate_program(program, database))
         recompute_time += elapsed
         assert maintained.result.annotations == fresh.annotations, (
             f"incremental deletion diverged from fresh evaluation "

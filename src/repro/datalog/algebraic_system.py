@@ -18,7 +18,9 @@ shape of Figure 7(f)::
 
 Solving the system in a semiring ``K`` amounts to Kleene iteration of the
 polynomial functions under a valuation of the EDB variables into ``K``
-(Definition 5.5's least fixpoint).
+(Definition 5.5's least fixpoint), done as chaotic iteration that
+re-evaluates only the equations whose right-hand side mentions a changed
+variable.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping
 
 from repro.errors import DatalogError, DivergenceError
+from repro.datalog.fixpoint import DEFAULT_MAX_ITERATIONS, check_on_divergence
 from repro.datalog.grounding import GroundAtom, GroundProgram, ground_program
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
@@ -34,10 +37,6 @@ from repro.semirings.base import Semiring
 from repro.semirings.polynomial import Polynomial
 
 __all__ = ["AlgebraicSystem", "build_algebraic_system"]
-
-#: Safety cap for Kleene iteration over idempotent semirings.
-DEFAULT_MAX_ITERATIONS = 10_000
-
 
 @dataclass
 class AlgebraicSystem:
@@ -113,7 +112,6 @@ class AlgebraicSystem:
         *,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         on_divergence: str = "top",
-        engine: str = "naive",
     ) -> Dict[GroundAtom, Any]:
         """Least solution of the system in ``semiring`` (Definition 5.5).
 
@@ -125,19 +123,12 @@ class AlgebraicSystem:
         raises, and ``"skip"`` drops the divergent components from the
         solution while keeping the exact values of the convergent ones.
 
-        ``engine="seminaive"`` replaces the round-robin Kleene iteration with
-        a dependency-aware worklist: after each round only the equations whose
-        right-hand side mentions a changed variable are re-evaluated.  The
-        least solution is the same (the worklist performs chaotic iteration
-        of the same monotone operator).
+        Each round re-evaluates only the equations whose right-hand side
+        mentions a variable that changed in the previous round -- chaotic
+        iteration of the monotone operator, which reaches the same least
+        solution as round-robin Kleene iteration.
         """
-        if on_divergence not in ("top", "error", "skip"):
-            raise ValueError(
-                f"on_divergence must be 'top', 'error' or 'skip', got {on_divergence!r}"
-            )
-        from repro.datalog.fixpoint import _check_engine
-
-        _check_engine(engine)
+        check_on_divergence(on_divergence)
         if valuation is None:
             valuation = {
                 variable: semiring.coerce(value)
@@ -179,57 +170,21 @@ class AlgebraicSystem:
         if on_divergence == "top":
             for atom in divergent:
                 values[self.idb_variables[atom]] = semiring.top()
-        finite_variables = [
+        finite = {
             self.idb_variables[atom] for atom in idb_atoms if atom not in divergent
-        ]
+        }
 
         rounds = max_iterations
         if not semiring.idempotent_add:
-            rounds = min(rounds, len(finite_variables) + 1)
+            rounds = min(rounds, len(finite) + 1)
 
-        if engine == "seminaive":
-            self._solve_worklist(semiring, valuation, values, finite_variables, rounds)
-        else:
-            for _ in range(rounds):
-                assignment = {**valuation, **values}
-                changed = False
-                for variable in finite_variables:
-                    new_value = self.equations[variable].evaluate(semiring, assignment)
-                    if new_value != values[variable]:
-                        values[variable] = new_value
-                        changed = True
-                if not changed:
-                    break
-            else:
-                if semiring.idempotent_add:
-                    raise DivergenceError(
-                        f"algebraic system did not converge within {max_iterations} iterations"
-                    )
-
-        if on_divergence == "skip":
-            return {
-                atom: values[self.idb_variables[atom]]
-                for atom in idb_atoms
-                if atom not in divergent
-            }
-        return {atom: values[self.idb_variables[atom]] for atom in idb_atoms}
-
-    def _solve_worklist(
-        self,
-        semiring: Semiring,
-        valuation: Mapping[str, Any],
-        values: Dict[str, Any],
-        finite_variables: list[str],
-        rounds: int,
-    ) -> None:
-        """Rounds of chaotic iteration re-evaluating only affected equations."""
-        finite = set(finite_variables)
+        # Chaotic iteration: each round re-evaluates only the equations that
+        # mention a variable changed in the previous round.
         dependents: Dict[str, set[str]] = {}
-        for variable in finite_variables:
+        for variable in finite:
             for dependency in self.equations[variable].variables & finite:
                 dependents.setdefault(dependency, set()).add(variable)
-
-        dirty = set(finite_variables)
+        dirty = finite
         performed = 0
         while dirty:
             if performed >= rounds:
@@ -247,6 +202,14 @@ class AlgebraicSystem:
                     values[variable] = new_value
                     next_dirty |= dependents.get(variable, set())
             dirty = next_dirty
+
+        if on_divergence == "skip":
+            return {
+                atom: values[self.idb_variables[atom]]
+                for atom in idb_atoms
+                if atom not in divergent
+            }
+        return {atom: values[self.idb_variables[atom]] for atom in idb_atoms}
 
     def _divergent_atoms(self, zero_edb: set[GroundAtom]) -> frozenset[GroundAtom]:
         """Atoms with infinitely many derivations, ignoring rules killed by zero EDB facts."""

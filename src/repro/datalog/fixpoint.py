@@ -4,8 +4,16 @@ Definition 5.1 gives the proof-theoretic semantics -- the annotation of an
 output tuple is the (possibly infinite) sum, over all its derivation trees,
 of the product of the leaf annotations -- and Theorem 5.6 shows it coincides
 with the least solution of the algebraic system ``Q-bar = T_q(R, Q-bar)``.
-This module computes that least fixpoint directly by Kleene iteration of the
-immediate-consequence operator on the grounded program.
+So every strategy that reaches the least fixpoint computes the same
+annotations, and :func:`evaluate_program` has one: the delta-driven engine
+of :mod:`repro.datalog.seminaive`.
+
+This module holds what that engine shares with the definitional reference:
+the result type, the immediate-consequence operator ``T_q``, the divergence
+policy, and :func:`solve_ground` -- Kleene iteration of ``T_q`` over a
+grounded program, exactly Definition 5.5.  ``solve_ground(ground_program(p,
+db), db.semiring)`` is the oracle the differential tests compare the engine
+against.
 
 Termination strategy
 --------------------
@@ -15,13 +23,13 @@ Termination strategy
   ``max_iterations`` guards against pathological cases.
 * For semirings with **non-idempotent addition** (``N``, ``N-inf``,
   ``N[X]``, power series) the annotation of a tuple converges iff the tuple
-  has finitely many derivation trees.  The engine first identifies the atoms
-  with infinitely many derivations (reachability from a cycle of the grounded
-  dependency graph -- the same analysis All-Trees relies on); the remaining
-  atoms form an acyclic sub-program whose values converge within one round
-  per atom.  Atoms with infinitely many derivations get the semiring's top
-  element (``infinity`` in ``N-inf``, reproducing Figure 7(b)); if the
-  semiring has no top the evaluation raises :class:`DivergenceError`.
+  has finitely many derivation trees.  The atoms with infinitely many
+  derivations are those reachable from a cycle of the grounded dependency
+  graph (the same analysis All-Trees relies on); the remaining atoms form an
+  acyclic sub-program whose values converge within one round per atom.
+  Atoms with infinitely many derivations get the semiring's top element
+  (``infinity`` in ``N-inf``, reproducing Figure 7(b)); if the semiring has
+  no top the evaluation raises :class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -30,12 +38,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Mapping
 
 from repro.errors import DivergenceError
-from repro.datalog.grounding import GroundAtom, GroundProgram, ground_program
+from repro.datalog.grounding import GroundAtom, GroundProgram
 from repro.datalog.syntax import Program
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
 from repro.relations.schema import Schema
-from repro.relations.storage import resolve_storage_kind
 from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 
@@ -68,12 +75,12 @@ class DatalogResult:
     ground:
         The grounded program the evaluation ran on (useful for inspecting the
         instantiation, e.g. in tests of Theorem 6.5).  Caveat: for idempotent
-        semirings the semi-naive engine never materializes the instantiation
-        (that is where its speed comes from), so its result's ``ground``
-        carries the derivable atoms and EDB annotations but an **empty rule
-        list**; use ``engine="naive"`` (or
-        :func:`~repro.datalog.grounding.ground_program`) when the ground
-        rules themselves are needed.
+        semirings :func:`evaluate_program` never materializes the
+        instantiation (that is where its speed comes from), so its result's
+        ``ground`` carries the derivable atoms and EDB annotations but an
+        **empty rule list**; call
+        :func:`~repro.datalog.grounding.ground_program` when the ground rules
+        themselves are needed.
     """
 
     annotations: Dict[GroundAtom, Any]
@@ -147,7 +154,6 @@ def evaluate_program(
     *,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     on_divergence: str = "top",
-    engine: str = "naive",
     storage: Any = None,
 ) -> DatalogResult:
     """Evaluate ``program`` over ``database`` in the database's semiring.
@@ -165,50 +171,37 @@ def evaluate_program(
       infinitely many), so the kept annotations are unaffected.  The skipped
       atoms are reported in ``DatalogResult.divergent_atoms``.
 
-    ``engine`` selects the evaluation strategy: ``"naive"`` (default) grounds
-    the program and Kleene-iterates the immediate-consequence operator --
-    the reference implementation, closest to the paper's Definition 5.5;
-    ``"seminaive"`` runs the delta-driven engine of
-    :mod:`repro.datalog.seminaive`, which produces identical annotations and
-    is asymptotically faster on recursive programs.  The engines differ in
-    one inspection detail: for idempotent semirings the semi-naive result's
-    ``ground`` carries no rule instantiations (see
+    The program runs on the delta-driven engine of
+    :mod:`repro.datalog.seminaive`; its annotations equal those of the
+    Definition 5.5 Kleene iteration (:func:`solve_ground` over
+    :func:`~repro.datalog.grounding.ground_program`).  For idempotent
+    semirings the result's ``ground`` carries no rule instantiations (see
     :attr:`DatalogResult.ground`).
 
-    ``storage`` selects the physical backend of the semi-naive engine's
-    per-predicate stores (``"row"`` or ``"columnar"``; ``None`` defers to
+    ``storage`` selects the physical backend of the engine's per-predicate
+    stores (``"row"`` or ``"columnar"``; ``None`` defers to
     ``REPRO_STORAGE``, then to the database's own backend).  A columnar
     backend additionally engages whole-column round batching for linear
     recursions over vectorizable semirings.
     """
-    _check_engine(engine)
-    resolve_storage_kind(storage)
+    from repro.datalog.seminaive import start_engine
+
+    check_on_divergence(on_divergence)
     if isinstance(program, str):
         program = Program.parse(program)
-    if engine == "seminaive":
-        from repro.datalog.seminaive import evaluate_program_seminaive
-
-        return evaluate_program_seminaive(
-            program,
-            database,
-            max_iterations=max_iterations,
-            on_divergence=on_divergence,
-            storage=storage,
-        )
-    semiring = database.semiring
-    ground = ground_program(program, database)
-    return solve_ground(
-        ground,
-        semiring,
-        max_iterations=max_iterations,
-        on_divergence=on_divergence,
+    engine, rounds = start_engine(
+        program, database, max_iterations=max_iterations, storage=storage
+    )
+    return engine.result(
+        rounds, max_iterations=max_iterations, on_divergence=on_divergence
     )
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ("naive", "seminaive"):
+def check_on_divergence(on_divergence: str) -> None:
+    """Reject an unknown ``on_divergence`` policy before any work is done."""
+    if on_divergence not in ("top", "error", "skip"):
         raise ValueError(
-            f"engine must be 'naive' or 'seminaive', got {engine!r}"
+            f"on_divergence must be 'top', 'error' or 'skip', got {on_divergence!r}"
         )
 
 
@@ -217,16 +210,13 @@ def classify_divergence(
 ) -> tuple[frozenset[GroundAtom], set[GroundAtom]]:
     """Split the derivable IDB atoms into ``(divergent, finite)`` sets.
 
-    The single place both engines apply the divergence policy: validates
-    ``on_divergence``, classifies nothing as divergent under idempotent
-    addition, and otherwise raises :class:`DivergenceError` when divergent
-    atoms exist but the policy (or the semiring's lack of a top element)
-    cannot absorb them.
+    The single place both ground solvers apply the divergence policy:
+    validates ``on_divergence``, classifies nothing as divergent under
+    idempotent addition, and otherwise raises :class:`DivergenceError` when
+    divergent atoms exist but the policy (or the semiring's lack of a top
+    element) cannot absorb them.
     """
-    if on_divergence not in ("top", "error", "skip"):
-        raise ValueError(
-            f"on_divergence must be 'top', 'error' or 'skip', got {on_divergence!r}"
-        )
+    check_on_divergence(on_divergence)
     idb_atoms = ground.idb_atoms
     if semiring.idempotent_add:
         return frozenset(), set(idb_atoms)
@@ -252,13 +242,15 @@ def solve_ground(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     on_divergence: str = "top",
 ) -> DatalogResult:
-    """Kleene-solve an already-grounded program in ``semiring``.
+    """Kleene-solve an already-grounded program in ``semiring`` (Definition 5.5).
 
-    The engine core behind :func:`evaluate_program`, exposed so callers that
-    already hold a :class:`~repro.datalog.grounding.GroundProgram` (or a
-    re-annotated copy of one, as the circuit provenance path builds) can
-    solve it without grounding a second time.  ``ground.edb_annotations``
-    must already be elements of ``semiring``.
+    Round after round applies :func:`immediate_consequence` to every
+    convergent atom until nothing changes -- the definitional reference.
+    ``solve_ground(ground_program(program, database), database.semiring)``
+    is the oracle for :func:`evaluate_program`, and
+    :func:`~repro.datalog.seminaive.solve_ground_seminaive` is its fast
+    counterpart for callers that already hold a grounding.
+    ``ground.edb_annotations`` must already be elements of ``semiring``.
     """
     divergent, finite_atoms = classify_divergence(ground, semiring, on_divergence)
 
@@ -310,7 +302,6 @@ def evaluate(
     *,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     on_divergence: str = "top",
-    engine: str = "naive",
 ) -> KRelation:
     """Convenience wrapper: evaluate and return the output predicate's K-relation."""
     if isinstance(program, str):
@@ -320,6 +311,5 @@ def evaluate(
         database,
         max_iterations=max_iterations,
         on_divergence=on_divergence,
-        engine=engine,
     )
     return result.output_relation(database)

@@ -280,7 +280,8 @@ def collect_edb_annotations(program: Program, database: Database) -> Dict[Ground
     """Read the program's EDB facts out of ``database`` as annotated ground atoms.
 
     Validates that every EDB predicate names a database relation of the right
-    arity -- the shared input contract of the naive and semi-naive engines.
+    arity -- the shared input contract of the semi-naive engine and the
+    reference solver.
     """
     edb_annotations: Dict[GroundAtom, Any] = {}
     for predicate in program.edb_predicates:

@@ -146,7 +146,6 @@ def lattice_condition_provenance(
     database: Database,
     *,
     edb_ids: Mapping[GroundAtom, str] | None = None,
-    engine: str = "naive",
     storage: str | None = None,
 ) -> LatticeDatalogResult:
     """Compute the PosBool(X) ("minimal fringe") provenance of a datalog query.
@@ -155,10 +154,9 @@ def lattice_condition_provenance(
     here, since each EDB fact is re-tagged with its own Boolean variable.
     (``edb_ids`` need not be injective: mapping two facts to one variable
     declares them perfectly correlated, which is how the probabilistic layer
-    encodes shared events.)  ``engine`` selects the evaluation strategy of
-    the underlying PosBool(X) fixpoint (``"naive"`` or ``"seminaive"``, see
-    :func:`repro.datalog.fixpoint.evaluate_program`) and ``storage`` its
-    backend; the conditions are identical either way.
+    encodes shared events.)  The PosBool(X) fixpoint runs on
+    :func:`repro.datalog.fixpoint.evaluate_program`; ``storage`` selects its
+    backend, and the conditions are identical on either.
     """
     if isinstance(program, str):
         program = Program.parse(program)
@@ -177,7 +175,7 @@ def lattice_condition_provenance(
             relation.set(tup, BoolExpr.var(ids[atom]))
         tagged.register(predicate, relation)
 
-    result = evaluate_program(program, tagged, engine=engine, storage=storage)
+    result = evaluate_program(program, tagged, storage=storage)
     conditions = {
         atom: value
         for atom, value in result.annotations.items()
@@ -190,8 +188,6 @@ def evaluate_on_lattice(
     program: Program | str,
     database: Database,
     *,
-    output_only: bool = True,
-    engine: str = "naive",
     method: str = "expand",
     storage: str | None = None,
 ) -> KRelation:
@@ -204,8 +200,6 @@ def evaluate_on_lattice(
     ``K = PosBool(B)`` the result is the c-table datalog semantics; for
     ``K = P(Omega)`` it generalizes probabilistic datalog.
 
-    ``engine="seminaive"`` runs the underlying PosBool(X) fixpoint through
-    the PR 2 delta-driven engine; the result is identical.
     ``method="compile"`` specializes the conditions through the knowledge
     compiler (requires a complemented lattice, e.g. ``P(Omega)``); again the
     result is identical -- the probabilistic layer uses it for differential
@@ -222,7 +216,7 @@ def evaluate_on_lattice(
     edb_annotations = collect_edb_annotations(program, database)
     ids = default_edb_ids(edb_annotations)
     provenance = lattice_condition_provenance(
-        program, database, edb_ids=ids, engine=engine, storage=storage
+        program, database, edb_ids=ids, storage=storage
     )
     valuation = {
         ids[atom]: annotation for atom, annotation in edb_annotations.items()
@@ -240,6 +234,5 @@ def evaluate_on_lattice(
     for atom, value in values.items():
         if atom.relation != predicate or semiring.is_zero(value):
             continue
-        if not output_only or atom.relation == predicate:
-            relation.set(Tup.from_values(schema.attributes, atom.values), value)
+        relation.set(Tup.from_values(schema.attributes, atom.values), value)
     return relation

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
 from repro.errors import DatalogError
-from repro.datalog.all_trees import all_trees, default_edb_ids
+from repro.datalog.all_trees import default_edb_ids
+from repro.datalog.fixpoint import immediate_consequence
 from repro.datalog.finiteness import ProvenanceClass, classify_provenance
 from repro.datalog.grounding import GroundAtom, GroundProgram, ground_program
 from repro.datalog.syntax import Program
@@ -172,28 +173,23 @@ def datalog_circuit_provenance(
     *,
     edb_ids: Mapping[GroundAtom, str] | None = None,
     on_divergence: str = "skip",
-    engine: str = "naive",
 ) -> DatalogCircuitProvenance:
     """Compute hash-consed circuit provenance by running datalog over ``Circ[X]``.
 
     The EDB facts are abstractly tagged with circuit variables (the same
     deterministic tuple ids as the series path, so results are directly
-    comparable) and the ordinary Kleene engine of
-    :mod:`repro.datalog.fixpoint` does the rest -- no provenance-specific
-    evaluation code.  The program is grounded once; the engine then solves
-    a re-annotated copy of that grounding directly.  ``on_divergence`` is
-    forwarded to the engine: ``"skip"`` (default) records atoms with
-    infinite provenance in ``divergent`` and keeps the exact circuits of
-    the rest; ``"error"`` raises :class:`~repro.errors.DivergenceError`
-    instead.  ``engine="seminaive"`` solves the re-annotated grounding in
-    one topological pass (:func:`repro.datalog.seminaive.solve_ground_seminaive`)
-    instead of Kleene rounds; the circuits are structurally identical.
+    comparable) and the ordinary ground solver does the rest -- no
+    provenance-specific evaluation code.  The program is grounded once;
+    :func:`repro.datalog.seminaive.solve_ground_seminaive` then solves a
+    re-annotated copy of that grounding in one topological pass.
+    ``on_divergence`` is forwarded to the solver: ``"skip"`` (default)
+    records atoms with infinite provenance in ``divergent`` and keeps the
+    exact circuits of the rest; ``"error"`` raises
+    :class:`~repro.errors.DivergenceError` instead.
     """
     from repro.circuits.semiring import CircuitSemiring
-    from repro.datalog.fixpoint import _check_engine, solve_ground
     from repro.datalog.seminaive import solve_ground_seminaive
 
-    _check_engine(engine)
     if isinstance(program, str):
         program = Program.parse(program)
     ground = ground_program(program, database)
@@ -204,8 +200,7 @@ def datalog_circuit_provenance(
         {atom: circ.var(ids[atom]) for atom in ground.edb_atoms}
     )
 
-    solver = solve_ground_seminaive if engine == "seminaive" else solve_ground
-    result = solver(circuit_ground, circ, on_divergence=on_divergence)
+    result = solve_ground_seminaive(circuit_ground, circ, on_divergence=on_divergence)
     circuits = {
         atom: circuit
         for atom, circuit in result.annotations.items()
@@ -227,7 +222,6 @@ def datalog_provenance(
     truncation_degree: int = 6,
     edb_ids: Mapping[GroundAtom, str] | None = None,
     provenance: str = "series",
-    engine: str = "naive",
 ) -> DatalogProvenance | DatalogCircuitProvenance:
     """Compute the ``N-inf[[X]]`` provenance of a datalog query (Definition 6.1).
 
@@ -241,37 +235,25 @@ def datalog_provenance(
     hash-consed DAG annotations instead -- exact for every convergent atom
     and asymptotically smaller under deep fixpoints.
 
-    ``engine`` selects how the exact polynomial provenance of the convergent
-    atoms is computed: ``"naive"`` (default) uses All-Trees' memoized
-    recursion, ``"seminaive"`` solves the grounding re-annotated over
-    ``N[X]`` with :func:`repro.datalog.seminaive.solve_ground_seminaive`
-    (Theorem 5.6 guarantees the two coincide).  For ``provenance="circuit"``
-    the option is forwarded to :func:`datalog_circuit_provenance`.  The
-    truncated power series of the divergent atoms are engine-independent.
+    The exact polynomial provenance of the convergent atoms comes from
+    solving the grounding re-annotated over ``N[X]`` with
+    :func:`repro.datalog.seminaive.solve_ground_seminaive`; by Theorem 5.6
+    these are All-Trees' polynomials
+    (:func:`~repro.datalog.all_trees.all_trees`, the tests' oracle).
     """
     if provenance == "circuit":
-        return datalog_circuit_provenance(
-            program, database, edb_ids=edb_ids, engine=engine
-        )
+        return datalog_circuit_provenance(program, database, edb_ids=edb_ids)
     if provenance != "series":
         raise DatalogError(
             f"provenance must be 'series' or 'circuit', got {provenance!r}"
         )
-    from repro.datalog.fixpoint import _check_engine
-
-    _check_engine(engine)
     if isinstance(program, str):
         program = Program.parse(program)
     ground = ground_program(program, database)
     ids = dict(edb_ids) if edb_ids is not None else default_edb_ids(ground)
 
     report = classify_provenance(ground)
-    if engine == "seminaive":
-        polynomials, infinite_atoms = _seminaive_polynomials(ground, ids)
-    else:
-        finite_result = all_trees(program, database, edb_ids=ids)
-        polynomials = finite_result.polynomials
-        infinite_atoms = finite_result.infinite
+    polynomials, infinite_atoms = _seminaive_polynomials(ground, ids)
 
     series: Dict[GroundAtom, FormalPowerSeries] = {}
     for atom, polynomial in polynomials.items():
@@ -334,40 +316,26 @@ def _truncated_series_fixpoint(
     idb_atoms = sorted(
         ground.idb_atoms, key=lambda a: (a.relation, tuple(map(str, a.values)))
     )
-    edb_series = {
-        atom: FormalPowerSeries.var(ids[atom], truncation_degree)
-        for atom in ground.edb_atoms
-    }
+    series_ground = ground.reannotate(
+        {
+            atom: FormalPowerSeries.var(ids[atom], truncation_degree)
+            for atom in ground.edb_atoms
+        }
+    )
     values: Dict[GroundAtom, FormalPowerSeries] = {
         atom: semiring.zero() for atom in idb_atoms
     }
 
     bound = (truncation_degree + 1) * (len(idb_atoms) + 1) + 1
 
-    def one_round(current: Dict[GroundAtom, FormalPowerSeries]) -> Dict[GroundAtom, FormalPowerSeries]:
-        updated: Dict[GroundAtom, FormalPowerSeries] = {}
-        for atom in idb_atoms:
-            total = semiring.zero()
-            for rule in ground.rules_with_head(atom):
-                product = semiring.one()
-                for body_atom in rule.body:
-                    if ground.is_edb(body_atom):
-                        factor = edb_series[body_atom]
-                    else:
-                        factor = current.get(body_atom, semiring.zero())
-                    product = semiring.mul(product, factor)
-                total = semiring.add(total, product)
-            updated[atom] = total
-        return updated
-
     for _ in range(bound):
-        updated = one_round(values)
+        updated = immediate_consequence(series_ground, semiring, values)
         if updated == values:
             return updated
         values = updated
 
     # One more round to discover which coefficients are still growing.
-    final_round = one_round(values)
+    final_round = immediate_consequence(series_ground, semiring, values)
     stabilized: Dict[GroundAtom, FormalPowerSeries] = {}
     for atom in idb_atoms:
         before, after = values[atom], final_round[atom]

@@ -1,6 +1,7 @@
-"""Semi-naive, delta-driven datalog evaluation (``engine="seminaive"``).
+"""Semi-naive, delta-driven datalog evaluation: the engine of ``evaluate_program``.
 
-The naive engine of :mod:`repro.datalog.fixpoint` first *grounds* the whole
+The definitional reference, :func:`repro.datalog.fixpoint.solve_ground` over
+:func:`repro.datalog.grounding.ground_program`, first *grounds* the whole
 program (enumerating every rule instantiation from scratch in every round of
 a Boolean pre-fixpoint) and then Kleene-iterates the immediate-consequence
 operator over all ground rules until nothing changes.  Both steps redo work
@@ -32,23 +33,29 @@ For **non-idempotent** semirings (``N``, ``N[X]``, circuits, power series)
 accumulation would double-count, and exact values exist only for atoms with
 finitely many derivation trees.  The engine therefore runs its delta-driven
 machinery once in *collect* mode over the Boolean support -- deriving every
-fact and recording every rule instantiation, which is the instantiation the
-naive engine computes far more expensively -- then reuses the existing
-cycle/finiteness analysis of :class:`~repro.datalog.grounding.GroundProgram`
-(``atoms_with_infinite_derivations``, exactly as the naive engine and
+fact and recording every rule instantiation, which is the instantiation
+:func:`~repro.datalog.grounding.ground_program` computes far more
+expensively -- then reuses the cycle/finiteness analysis of
+:class:`~repro.datalog.grounding.GroundProgram`
+(``atoms_with_infinite_derivations``, exactly as the reference solver and
 All-Trees do) and evaluates the acyclic remainder in a **single topological
-pass**.  Divergent atoms are handled identically to the naive engine:
-``on_divergence="top"`` pins them to the semiring's top element (raising
+pass**.  Divergent atoms follow the shared policy of
+:func:`repro.datalog.fixpoint.classify_divergence`: ``on_divergence="top"``
+pins them to the semiring's top element (raising
 :class:`~repro.errors.DivergenceError` when there is none), ``"error"``
 always raises, and ``"skip"`` drops them while keeping the exact annotations
 of the convergent atoms.
 
-The result is a :class:`~repro.datalog.fixpoint.DatalogResult` that agrees
-annotation-for-annotation with the naive engine (the differential
-property-test suite in ``tests/datalog/test_seminaive_vs_naive.py`` checks
-this on randomized programs over every shipped semiring).  For idempotent
-semirings the result's ``ground`` carries the derivable atoms and EDB
-annotations but **no rule instantiations** -- never materializing them is
+:func:`start_engine` picks the mode and runs the engine to its fixpoint;
+the engine's ``result`` method assembles the
+:class:`~repro.datalog.fixpoint.DatalogResult`.  Both
+:func:`~repro.datalog.fixpoint.evaluate_program` and
+:class:`~repro.incremental.datalog.IncrementalDatalog` go through them.  The
+result agrees annotation-for-annotation with the reference solver (the
+differential property-test suite in ``tests/datalog/test_seminaive_vs_naive.py``
+checks this on randomized programs over every shipped semiring).  For
+idempotent semirings the result's ``ground`` carries the derivable atoms and
+EDB annotations but **no rule instantiations** -- never materializing them is
 where the speed comes from (see ``benchmarks/bench_seminaive.py``).
 """
 
@@ -82,7 +89,7 @@ from repro.relations.tuples import Tup
 from repro.semirings.base import Semiring
 from repro.semirings.boolean import BooleanSemiring
 
-__all__ = ["evaluate_program_seminaive", "solve_ground_seminaive"]
+__all__ = ["solve_ground_seminaive"]
 
 # Post-match opcodes: bind a slot / check against a slot / check a constant.
 _BIND, _CHECK_SLOT, _CHECK_CONST = 0, 1, 2
@@ -698,6 +705,18 @@ class _SemiNaiveEngine:
                     descend(0, driver_annotations[tup])
 
     # -- the delta loop ---------------------------------------------------------
+    def budget(self, max_iterations: int) -> int:
+        """The round budget for a drain, given the caller's ``max_iterations``.
+
+        The Boolean support fixpoint of collect mode always terminates
+        (finitely many ground atoms), so the caller's budget -- meant for
+        the value iteration -- is raised to the default there, matching the
+        uncapped grounding pre-pass of the reference solver.
+        """
+        if self.collect:
+            return max(max_iterations, DEFAULT_MAX_ITERATIONS)
+        return max_iterations
+
     def run(self, max_iterations: int) -> int:
         """Seed, then fire delta variants until a round changes nothing.
 
@@ -1190,6 +1209,40 @@ class _SemiNaiveEngine:
                 values[GroundAtom(predicate, row_values)] = annotations[tup]
         return values
 
+    def result(
+        self,
+        iterations: int,
+        *,
+        max_iterations: int = DEFAULT_MAX_ITERATIONS,
+        on_divergence: str = "top",
+    ) -> DatalogResult:
+        """The :class:`DatalogResult` of the fixpoint the engine has reached.
+
+        In annotate mode the stores hold the annotations; the grounded
+        instantiation was never materialized -- that is the point -- so the
+        result's ``ground`` carries no rule list.  In collect mode the
+        recorded instantiation is solved by :func:`solve_ground_seminaive`.
+        """
+        if self.collect:
+            return solve_ground_seminaive(
+                self.ground_program(),
+                self.database.semiring,
+                max_iterations=max_iterations,
+                on_divergence=on_divergence,
+            )
+        return DatalogResult(
+            annotations=self.annotations(),
+            iterations=iterations,
+            divergent_atoms=frozenset(),
+            ground=GroundProgram(
+                self.program,
+                self.database,
+                [],
+                self.edb_annotations,
+                self.derivable_atoms(),
+            ),
+        )
+
     def ground_program(self) -> GroundProgram:
         """The instantiation recorded by a collect-mode run.
 
@@ -1219,60 +1272,28 @@ class _SemiNaiveEngine:
         )
 
 
-def evaluate_program_seminaive(
-    program: Program | str,
+def start_engine(
+    program: Program,
     database: Database,
     *,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    on_divergence: str = "top",
     storage: Any = None,
-) -> DatalogResult:
-    """Semi-naive counterpart of :func:`repro.datalog.fixpoint.evaluate_program`.
+    maintain_edb: bool = False,
+) -> Tuple[_SemiNaiveEngine, int]:
+    """Build the engine in the mode the semiring needs and run it to its fixpoint.
 
-    Same contract and same results; see the module docstring for how the two
-    semiring regimes are handled.  Callers normally reach this through
-    ``evaluate_program(..., engine="seminaive")``.
+    Idempotent addition annotates directly; otherwise the engine collects
+    the Boolean support and its rule instantiations (see the module
+    docstring).  Returns the engine and the number of rounds it ran.
     """
-    if on_divergence not in ("top", "error", "skip"):
-        raise ValueError(
-            f"on_divergence must be 'top', 'error' or 'skip', got {on_divergence!r}"
-        )
-    if isinstance(program, str):
-        program = Program.parse(program)
-    semiring = database.semiring
-
-    if semiring.idempotent_add:
-        engine = _SemiNaiveEngine(program, database, collect=False, storage=storage)
-        iterations = engine.run(max_iterations)
-        # The grounded instantiation was never materialized -- that is the
-        # point -- so the result's ``ground`` carries no rule list.
-        ground = GroundProgram(
-            program,
-            database,
-            [],
-            engine.edb_annotations,
-            engine.derivable_atoms(),
-        )
-        return DatalogResult(
-            annotations=engine.annotations(),
-            iterations=iterations,
-            divergent_atoms=frozenset(),
-            ground=ground,
-        )
-
-    engine = _SemiNaiveEngine(program, database, collect=True, storage=storage)
-    # The Boolean support fixpoint always terminates (finitely many ground
-    # atoms), so the caller's iteration budget -- meant for the value
-    # iteration -- does not apply here, matching the naive engine whose
-    # grounding pre-pass is equally uncapped.
-    engine.run(max(max_iterations, DEFAULT_MAX_ITERATIONS))
-    ground = engine.ground_program()
-    return solve_ground_seminaive(
-        ground,
-        semiring,
-        max_iterations=max_iterations,
-        on_divergence=on_divergence,
+    engine = _SemiNaiveEngine(
+        program,
+        database,
+        collect=not database.semiring.idempotent_add,
+        maintain_edb=maintain_edb,
+        storage=storage,
     )
+    return engine, engine.run(engine.budget(max_iterations))
 
 
 def solve_ground_seminaive(
@@ -1296,7 +1317,7 @@ def solve_ground_seminaive(
 
     def recompute(atom: GroundAtom, values: Dict[GroundAtom, Any]) -> Any:
         # One application of T_q restricted to a single atom -- the same
-        # operator (and code) the naive engine iterates over all atoms.
+        # operator (and code) the reference solver iterates over all atoms.
         return immediate_consequence(ground, semiring, values, atoms=(atom,))[atom]
 
     values: Dict[GroundAtom, Any] = {}

@@ -50,9 +50,13 @@ from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import DatalogError, DivergenceError
 from repro.obs import trace as _trace
-from repro.datalog.fixpoint import DEFAULT_MAX_ITERATIONS, DatalogResult
+from repro.datalog.fixpoint import (
+    DEFAULT_MAX_ITERATIONS,
+    DatalogResult,
+    check_on_divergence,
+)
 from repro.datalog.grounding import GroundAtom, GroundProgram, collect_edb_annotations
-from repro.datalog.seminaive import _SemiNaiveEngine, solve_ground_seminaive
+from repro.datalog.seminaive import start_engine
 from repro.datalog.syntax import Program
 from repro.incremental.delta import UpdateBatch
 from repro.relations.database import Database
@@ -97,10 +101,7 @@ class IncrementalDatalog:
         on_divergence: str = "top",
         storage: Any = None,
     ):
-        if on_divergence not in ("top", "error", "skip"):
-            raise ValueError(
-                f"on_divergence must be 'top', 'error' or 'skip', got {on_divergence!r}"
-            )
+        check_on_divergence(on_divergence)
         if isinstance(program, str):
             program = Program.parse(program)
         self.program = program
@@ -117,19 +118,13 @@ class IncrementalDatalog:
 
     # -- engine lifecycle -------------------------------------------------------
     def _start_engine(self) -> None:
-        self._engine = _SemiNaiveEngine(
+        self._engine, self._rounds = start_engine(
             self.program,
             self.database,
-            collect=not self._idempotent,
-            maintain_edb=True,
+            max_iterations=self.max_iterations,
             storage=self.storage,
+            maintain_edb=True,
         )
-        budget = (
-            self.max_iterations
-            if self._idempotent
-            else max(self.max_iterations, DEFAULT_MAX_ITERATIONS)
-        )
-        self._rounds = self._engine.run(budget)
         self._result = None
 
     # -- results ----------------------------------------------------------------
@@ -137,31 +132,12 @@ class IncrementalDatalog:
     def result(self) -> DatalogResult:
         """The current fixpoint (recomputed lazily after updates)."""
         if self._result is None:
-            self._result = self._compute_result()
+            self._result = self._engine.result(
+                self._rounds,
+                max_iterations=self.max_iterations,
+                on_divergence=self.on_divergence,
+            )
         return self._result
-
-    def _compute_result(self) -> DatalogResult:
-        engine = self._engine
-        if self._idempotent:
-            ground = GroundProgram(
-                self.program,
-                self.database,
-                [],
-                engine.edb_annotations,
-                engine.derivable_atoms(),
-            )
-            return DatalogResult(
-                annotations=engine.annotations(),
-                iterations=self._rounds,
-                divergent_atoms=frozenset(),
-                ground=ground,
-            )
-        return solve_ground_seminaive(
-            engine.ground_program(),
-            self.semiring,
-            max_iterations=self.max_iterations,
-            on_divergence=self.on_divergence,
-        )
 
     def _patch_result(self, changelog: Dict[str, Any]) -> None:
         """Update the cached result from an engine changelog (idempotent mode).
@@ -288,7 +264,7 @@ class IncrementalDatalog:
             self._rounds += self._engine.apply_edb_delta(
                 predicate,
                 [(tup, value) for tup, value in changed.items()],
-                max(self.max_iterations, DEFAULT_MAX_ITERATIONS),
+                self._engine.budget(self.max_iterations),
             )
         self._refresh_edb_annotations(predicate, base, updates)
         self._result = None

@@ -12,6 +12,14 @@ change-valued deltas bottom-up through the tree:
   re-evaluated -- the work per update is proportional to the deltas and the
   tuples they join with, not to the view size.
 
+Every join and projection -- in the initial materialization, in delta
+propagation and in the deletion probes -- runs through the physical kernels
+of :mod:`repro.engine.kernels` (cost-driven build side, batched annotation
+accumulation, whole-column vectorization on columnar stores).  The view
+maintains ``query`` as written: it does not run the planner, because
+projection pushdown places projections directly over large base relations,
+which the deletion pass below then re-scans on every batch.
+
 Subtrees whose base relations are untouched by a batch are skipped
 entirely.  Deletions take one of three paths (``last_apply_mode`` records
 which ran):
@@ -46,6 +54,7 @@ from repro.algebra.ast import (
     Select,
     Union,
 )
+from repro.engine.kernels import join_relations, project_relation
 from repro.errors import QueryError
 from repro.obs import trace as _trace
 from repro.incremental.delta import (
@@ -80,66 +89,38 @@ class _Node:
         self.base_names = query.relation_names()
 
 
-def _build(
-    query: Query, database: Database, executor: str = "naive", storage: str = "row"
-) -> _Node:
+def _build(query: Query, database: Database, storage: str = "row") -> _Node:
     """Compile ``query`` into a node tree, evaluating every subquery once."""
     if isinstance(query, RelationRef):
         return _Node(query, [], database.relation(query.name).with_storage(storage))
     if isinstance(query, EmptyRelation):
         return _Node(query, [], operators.empty(database.semiring, query.schema))
-    children = [_build(child, database, executor, storage) for child in query.children()]
-    relation = _evaluate_node(query, children, database, executor, storage)
+    children = [_build(child, database, storage) for child in query.children()]
+    relation = _evaluate_node(query, children, storage)
     return _Node(query, children, relation)
 
 
-def _join(left: KRelation, right: KRelation, executor: str) -> KRelation:
-    """The join used by materialization and delta propagation.
-
-    ``executor="pipelined"`` routes through the shared physical kernel
-    (:func:`repro.engine.kernels.join_relations`): cost-driven build-side
-    selection plus batched annotation accumulation.
-    """
-    if executor == "pipelined":
-        from repro.engine.kernels import join_relations
-
-        return join_relations(left, right)
-    return operators.join(left, right)
-
-
-def _project(relation: KRelation, attributes, executor: str) -> KRelation:
-    if executor == "pipelined":
-        from repro.engine.kernels import project_relation
-
-        return project_relation(relation, attributes)
-    return operators.project(relation, attributes)
-
-
 def _evaluate_node(
-    query: Query,
-    children: List[_Node],
-    database: Database,
-    executor: str = "naive",
-    storage: str = "row",
+    query: Query, children: List[_Node], storage: str = "row"
 ) -> KRelation:
     """Evaluate one operator from its children's materialized relations.
 
     The materialization is pinned to the view's ``storage`` backend so that
     every node the delta rules read from (leaf copies and operator results
-    alike) stays on the backend the caller selected -- under the pipelined
-    executor this is what lets the shared kernels keep taking the
-    vectorized path across repeated ``apply`` calls.
+    alike) stays on the backend the caller selected -- this is what lets
+    the shared kernels keep taking the vectorized path across repeated
+    ``apply`` calls.
     """
     if isinstance(query, Union):
         relation = operators.union(children[0].relation, children[1].relation)
     elif isinstance(query, Project):
-        relation = _project(children[0].relation, query.attributes, executor)
+        relation = project_relation(children[0].relation, query.attributes)
     elif isinstance(query, Select):
         relation = operators.select(children[0].relation, query.predicate)
     elif isinstance(query, Rename):
         relation = operators.rename(children[0].relation, query.mapping)
     elif isinstance(query, Join):
-        relation = _join(children[0].relation, children[1].relation, executor)
+        relation = join_relations(children[0].relation, children[1].relation)
     else:
         raise QueryError(
             f"cannot materialize query node {type(query).__name__}; "
@@ -154,7 +135,6 @@ def _propagate(
     node: _Node,
     deltas: Mapping[str, KRelation],
     changed_out: Dict[Tup, Any] | None = None,
-    executor: str = "naive",
 ) -> KRelation:
     """Advance ``node`` (and its subtree) to the post-update state.
 
@@ -175,32 +155,23 @@ def _propagate(
         return delta
     if isinstance(query, Union):
         delta = operators.union(
-            _propagate(node.children[0], deltas, executor=executor),
-            _propagate(node.children[1], deltas, executor=executor),
+            _propagate(node.children[0], deltas), _propagate(node.children[1], deltas)
         )
     elif isinstance(query, Project):
-        delta = _project(
-            _propagate(node.children[0], deltas, executor=executor),
-            query.attributes,
-            executor,
-        )
+        delta = project_relation(_propagate(node.children[0], deltas), query.attributes)
     elif isinstance(query, Select):
-        delta = operators.select(
-            _propagate(node.children[0], deltas, executor=executor), query.predicate
-        )
+        delta = operators.select(_propagate(node.children[0], deltas), query.predicate)
     elif isinstance(query, Rename):
-        delta = operators.rename(
-            _propagate(node.children[0], deltas, executor=executor), query.mapping
-        )
+        delta = operators.rename(_propagate(node.children[0], deltas), query.mapping)
     elif isinstance(query, Join):
         left, right = node.children
         # Two-term bilinear rule: the left child advances first, so the
         # first term joins ΔL with R's *old* relation and the second joins
         # L's *new* relation with ΔR (absorbing the ΔL ⋈ ΔR cross term).
-        left_delta = _propagate(left, deltas, executor=executor)
-        delta = _join(left_delta, right.relation, executor)
-        right_delta = _propagate(right, deltas, executor=executor)
-        delta = operators.union(delta, _join(left.relation, right_delta, executor))
+        left_delta = _propagate(left, deltas)
+        delta = join_relations(left_delta, right.relation)
+        right_delta = _propagate(right, deltas)
+        delta = operators.union(delta, join_relations(left.relation, right_delta))
     else:  # pragma: no cover - _build already rejected exotic nodes
         raise QueryError(f"no delta rule for {type(query).__name__}")
     applied = apply_delta(node.relation, delta)
@@ -327,16 +298,16 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
                 left.relation.schema,
                 ((tup, one) for tup in left_changed),
             )
-            probes.append(operators.join(temp_left, right.relation))
+            probes.append(join_relations(temp_left, right.relation))
         if right_changed:
             temp_right = KRelation(
                 semiring,
                 right.relation.schema,
                 ((tup, one) for tup in right_changed),
             )
-            probes.append(operators.join(left.relation, temp_right))
+            probes.append(join_relations(left.relation, temp_right))
         if temp_left is not None and temp_right is not None:
-            probes.append(operators.join(temp_left, temp_right))
+            probes.append(join_relations(temp_left, temp_right))
         affected = set()
         for probe in probes:
             affected.update(probe._annotations)
@@ -360,11 +331,7 @@ def _delete_rederive(node: _Node, removed: Mapping[str, set], semiring) -> set:
 
 
 def _rebuild(
-    node: _Node,
-    database: Database,
-    touched: frozenset[str],
-    executor: str = "naive",
-    storage: str = "row",
+    node: _Node, database: Database, touched: frozenset[str], storage: str = "row"
 ) -> None:
     """Bounded recomputation: re-evaluate only subtrees reading ``touched``."""
     if not (node.base_names & touched):
@@ -373,8 +340,8 @@ def _rebuild(
         node.relation = database.relation(node.query.name).with_storage(storage)
         return
     for child in node.children:
-        _rebuild(child, database, touched, executor, storage)
-    node.relation = _evaluate_node(node.query, node.children, database, executor, storage)
+        _rebuild(child, database, touched, storage)
+    node.relation = _evaluate_node(node.query, node.children, storage)
 
 
 class MaterializedView:
@@ -389,28 +356,13 @@ class MaterializedView:
         and the view in sync.
     name:
         Optional label used in ``repr``.
-    optimize:
-        Run ``query`` through the semiring-aware planner
-        (:func:`repro.planner.optimize`) before compiling the node tree.
-        The maintained relation is identical annotation-for-annotation --
-        the rewrites are exactly the Proposition 3.4 identities -- but both
-        the initial materialization and every delta propagation walk the
-        cheaper plan.  ``query`` keeps the original expression; the compiled
-        plan is available as :attr:`plan`.
-    executor:
-        ``"naive"`` (default) evaluates operator nodes through
-        :mod:`repro.algebra.operators`; ``"pipelined"`` routes the join and
-        projection nodes -- both in the initial materialization and in every
-        delta-propagation join -- through the shared physical kernels of
-        :mod:`repro.engine.kernels` (cost-driven build side, batched
-        annotation accumulation).  The maintained relation is identical.
     storage:
         Physical backend for every materialized relation in the node tree
         (``"row"`` or ``"columnar"``; ``None`` defers to ``REPRO_STORAGE``,
-        then to the database's own backend).  With ``executor="pipelined"``
-        a columnar view routes its join and projection nodes through the
-        whole-column vectorized kernels on every delta propagation.  The
-        maintained annotations are identical on either backend.
+        then to the database's own backend).  A columnar view routes its
+        join and projection nodes through the whole-column vectorized
+        kernels on every delta propagation.  The maintained annotations are
+        identical on either backend.
 
     Usage::
 
@@ -429,31 +381,17 @@ class MaterializedView:
         database: Database,
         *,
         name: str = "view",
-        optimize: bool = False,
-        executor: str = "naive",
         storage: Any = None,
     ):
         self.query = query
         self.database = database
         self.name = name
-        if executor not in ("naive", "pipelined"):
-            raise QueryError(
-                f"unknown executor {executor!r}; expected 'naive' or 'pipelined'"
-            )
-        self.executor = executor
         from repro.engine.compile import resolve_execution_storage
 
         #: The resolved physical backend of every materialized node.
         self.storage = resolve_execution_storage(storage, database)
-        if optimize:
-            from repro.planner import optimize as _optimize
-
-            #: The compiled plan (the optimized query when ``optimize=True``).
-            self.plan = _optimize(query, database)
-        else:
-            self.plan = query
-        with _trace.span("view.build", view=name, executor=executor) as sp:
-            self._root = _build(self.plan, database, executor, self.storage)
+        with _trace.span("view.build", view=name) as sp:
+            self._root = _build(query, database, self.storage)
             sp.set(rows=len(self._root.relation))
         #: ``"incremental"``, ``"delete_rederive"`` or ``"recompute"`` -- how
         #: the last :meth:`apply` ran (``None`` before the first apply).
@@ -502,7 +440,7 @@ class MaterializedView:
             deltas = batch_deltas(self.database, batch)
             apply_batch_to_database(self.database, batch)
             changed: Dict[Tup, Any] = {}
-            _propagate(self._root, deltas, changed, executor=self.executor)
+            _propagate(self._root, deltas, changed)
             self.last_apply_mode = "incremental"
             sp.set(changed=len(changed))
             return changed
@@ -539,9 +477,7 @@ class MaterializedView:
                 # Last resort: the database already holds the post-delete
                 # state, so bounded recomputation from it is always sound.
                 touched = frozenset(removed)
-                _rebuild(
-                    self._root, self.database, touched, self.executor, self.storage
-                )
+                _rebuild(self._root, self.database, touched, self.storage)
                 new = self._root.relation._annotations
                 affected = {
                     tup
@@ -556,7 +492,7 @@ class MaterializedView:
             insertions = UpdateBatch(insertions=batch.insertions)
             deltas = batch_deltas(self.database, insertions)
             apply_batch_to_database(self.database, insertions)
-            _propagate(self._root, deltas, changed, executor=self.executor)
+            _propagate(self._root, deltas, changed)
         self.last_apply_mode = mode
         return changed
 
@@ -564,7 +500,7 @@ class MaterializedView:
         touched = batch.touched_relations
         apply_batch_to_database(self.database, batch)
         old = dict(self._root.relation._annotations)
-        _rebuild(self._root, self.database, touched, self.executor, self.storage)
+        _rebuild(self._root, self.database, touched, self.storage)
         self.last_apply_mode = "recompute"
         new = self._root.relation._annotations
         zero = self.semiring.zero()
@@ -574,7 +510,7 @@ class MaterializedView:
 
     def refresh(self) -> KRelation:
         """Rebuild the whole view from the database (full recomputation)."""
-        self._root = _build(self.plan, self.database, self.executor, self.storage)
+        self._root = _build(self.query, self.database, self.storage)
         return self._root.relation
 
     def __repr__(self) -> str:

@@ -318,9 +318,7 @@ class ProbabilisticDatabase:
         }
 
     # -- datalog -------------------------------------------------------------------
-    def _datalog_conditions(
-        self, program: Program | str, *, engine: str = "seminaive"
-    ) -> LatticeDatalogResult:
+    def _datalog_conditions(self, program: Program | str) -> LatticeDatalogResult:
         """PosBool conditions of a program over *event-name* variables.
 
         The EDB id map sends every ground fact to its declared event name,
@@ -338,23 +336,17 @@ class ProbabilisticDatabase:
             attributes = relation.schema.attributes
             for tup, node in relation.items():
                 ids[GroundAtom(predicate, tup.values_for(attributes))] = node.name
-        return lattice_condition_provenance(
-            program, lineage, edb_ids=ids, engine=engine
-        )
+        return lattice_condition_provenance(program, lineage, edb_ids=ids)
 
     def datalog_events(
         self,
         program: Program | str,
         *,
-        engine: str = "seminaive",
         method: str = "enumerate",
     ) -> KRelation:
         """Evaluate a datalog program (Section 8: P(Omega) is a finite lattice).
 
-        The underlying PosBool(X) condition fixpoint runs on the semi-naive
-        delta-driven engine by default (``engine="seminaive"``); pass
-        ``engine="naive"`` for the grounding-based reference path.  As with
-        :meth:`query_events`, events force the explicit world space;
+        As with :meth:`query_events`, events force the explicit world space;
         ``method="compile"`` reads them off the compiled conditions and
         exists for the differential tests.
         """
@@ -362,8 +354,8 @@ class ProbabilisticDatabase:
         if isinstance(program, str):
             program = Program.parse(program)
         if method == "enumerate":
-            return evaluate_on_lattice(program, self.database, engine=engine)
-        provenance = self._datalog_conditions(program, engine=engine)
+            return evaluate_on_lattice(program, self.database)
+        provenance = self._datalog_conditions(program)
         space = self.space
         semiring = space.semiring
         valuation = {name: space.event(name) for name in space.marginals}
@@ -396,7 +388,6 @@ class ProbabilisticDatabase:
         self,
         program: Program | str,
         *,
-        engine: str = "seminaive",
         method: str = "compile",
     ) -> Dict[Tup, float]:
         """Datalog evaluation with exact output probabilities.
@@ -408,11 +399,11 @@ class ProbabilisticDatabase:
         """
         _check_method(method)
         if method == "enumerate":
-            events = self.datalog_events(program, engine=engine)
+            events = self.datalog_events(program)
             return {tup: self.space.probability(event) for tup, event in events.items()}
         if isinstance(program, str):
             program = Program.parse(program)
-        provenance = self._datalog_conditions(program, engine=engine)
+        provenance = self._datalog_conditions(program)
         marginals = self.marginals
         out: Dict[Tup, float] = {}
         compiled = provenance.compile(compiler=self._compiler)
@@ -424,12 +415,12 @@ class ProbabilisticDatabase:
         return out
 
     def datalog_top_k(
-        self, program: Program | str, k: int, *, engine: str = "seminaive"
+        self, program: Program | str, k: int
     ) -> Dict[Tup, List[Tuple[float, Dict[str, bool]]]]:
         """Per output tuple: the ``k`` most probable worlds deriving it."""
         if isinstance(program, str):
             program = Program.parse(program)
-        provenance = self._datalog_conditions(program, engine=engine)
+        provenance = self._datalog_conditions(program)
         marginals = self.marginals
         out: Dict[Tup, List[Tuple[float, Dict[str, bool]]]] = {}
         compiled = provenance.compile(compiler=self._compiler)

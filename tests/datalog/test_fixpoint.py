@@ -4,8 +4,15 @@ import math
 
 import pytest
 
-from repro.datalog import GroundAtom, Program, evaluate, evaluate_program
+from repro.datalog import (
+    GroundAtom,
+    Program,
+    evaluate,
+    evaluate_program,
+    lattice_condition_provenance,
+)
 from repro.errors import DivergenceError, SchemaError
+from repro.incremental import IncrementalDatalog
 from repro.relations import Database, Tup
 from repro.semirings import (
     BooleanSemiring,
@@ -129,9 +136,11 @@ class TestResultObject:
 
 
 class TestArgumentValidation:
-    @pytest.mark.parametrize("engine", ["naive", "seminaive"])
-    def test_unknown_storage_is_rejected_by_both_engines(self, engine):
+    @pytest.mark.parametrize(
+        "entry_point",
+        [evaluate_program, IncrementalDatalog, lattice_condition_provenance],
+        ids=lambda entry_point: entry_point.__name__,
+    )
+    def test_unknown_storage_is_rejected(self, entry_point):
         with pytest.raises(SchemaError, match="unknown storage backend"):
-            evaluate_program(
-                figure6_program(), figure6_database(), engine=engine, storage="bogus"
-            )
+            entry_point(figure6_program(), figure6_database(), storage="bogus")

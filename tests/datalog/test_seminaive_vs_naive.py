@@ -1,15 +1,19 @@
-"""Differential property tests: the semi-naive engine against the naive one.
+"""Differential property tests: the semi-naive engine against the naive oracle.
 
-The naive Kleene engine is the reference implementation (closest to the
-paper's Definition 5.5); the semi-naive engine must agree with it
-annotation-for-annotation on every program, database and semiring.  This
-suite drives both engines with randomized programs and EDB databases from
-``tests/strategies.py`` over every registry semiring the engines support,
+The naive Kleene iteration over the grounded program
+(:func:`strategies.naive_fixpoint`, the paper's Definition 5.5) is the
+reference; the semi-naive engine behind ``evaluate_program`` must agree with
+it annotation-for-annotation on every program, database and semiring.  This
+suite drives both with randomized programs and EDB databases from
+``tests/strategies.py`` over every registry semiring the engine supports,
 including the non-idempotent provenance semirings where the semi-naive
-engine takes its collect-then-topological path.
+engine takes its collect-then-topological path.  The provenance paths are
+checked against their own oracles: All-Trees for the series, Kleene
+iteration of the re-annotated grounding for circuits and the algebraic
+system.
 
 ``on_divergence="skip"`` is used throughout so the same property holds for
-semirings without a top element (``N``, ``N[X]``, circuits): both engines
+semirings without a top element (``N``, ``N[X]``, circuits): both sides
 must then also agree on *which* atoms they skipped.
 """
 
@@ -18,17 +22,25 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from strategies import REGISTRY_SEMIRING_NAMES, programs_with_databases
+from strategies import REGISTRY_SEMIRING_NAMES, naive_fixpoint, programs_with_databases
 
-from repro.circuits import to_polynomial
+from repro.circuits import CircuitSemiring, to_polynomial
 from repro.datalog import (
     Program,
+    all_trees,
     build_algebraic_system,
+    datalog_circuit_provenance,
     datalog_provenance,
+    evaluate,
+    evaluate_on_lattice,
     evaluate_program,
+    ground_program,
+    lattice_condition_provenance,
+    solve_ground,
 )
+from repro.probabilistic import ProbabilisticDatabase
 from repro.relations.database import Database
-from repro.semirings import Polynomial, get_semiring
+from repro.semirings import FormalPowerSeries, Polynomial, get_semiring
 
 DIFFERENTIAL_SETTINGS = settings(
     max_examples=30,
@@ -69,10 +81,8 @@ def _assert_engines_agree(semiring, naive, seminaive):
 def test_engines_agree_on_random_programs(semiring_name, data):
     """Same annotations, same skipped atoms, on every registry semiring."""
     program, database = data.draw(programs_with_databases(semiring_name))
-    naive = evaluate_program(program, database, on_divergence="skip")
-    seminaive = evaluate_program(
-        program, database, on_divergence="skip", engine="seminaive"
-    )
+    naive = naive_fixpoint(program, database, on_divergence="skip")
+    seminaive = evaluate_program(program, database, on_divergence="skip")
     _assert_engines_agree(database.semiring, naive, seminaive)
 
 
@@ -81,10 +91,8 @@ def test_engines_agree_on_random_programs(semiring_name, data):
 def test_engines_agree_under_top_assignment(data):
     """Under ``on_divergence="top"`` both engines pin the same atoms to ∞."""
     program, database = data.draw(programs_with_databases("natinf"))
-    naive = evaluate_program(program, database, on_divergence="top")
-    seminaive = evaluate_program(
-        program, database, on_divergence="top", engine="seminaive"
-    )
+    naive = naive_fixpoint(program, database, on_divergence="top")
+    seminaive = evaluate_program(program, database, on_divergence="top")
     _assert_engines_agree(database.semiring, naive, seminaive)
 
 
@@ -96,16 +104,17 @@ def test_engines_agree_under_top_assignment(data):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_provenance_series_agree(data):
-    """The series path computes identical provenance under either engine."""
+    """The exact series are All-Trees' polynomials; the rest are proper series."""
     program, database = data.draw(programs_with_databases("bag"))
-    naive = datalog_provenance(program, database, truncation_degree=3)
-    seminaive = datalog_provenance(
-        program, database, truncation_degree=3, engine="seminaive"
-    )
-    assert set(naive.series) == set(seminaive.series)
-    for atom in naive.series:
-        assert naive.series[atom] == seminaive.series[atom], str(atom)
-    assert naive.classification == seminaive.classification
+    provenance = datalog_provenance(program, database, truncation_degree=3)
+    trees = all_trees(program, database, edb_ids=provenance.edb_ids)
+    assert set(provenance.series) == set(trees.polynomials) | trees.infinite
+    for atom, polynomial in trees.polynomials.items():
+        assert provenance.series[atom] == FormalPowerSeries.from_polynomial(
+            polynomial
+        ), str(atom)
+    for atom in trees.infinite:
+        assert not provenance.series[atom].is_exact, str(atom)
 
 
 @given(data=st.data())
@@ -116,17 +125,28 @@ def test_provenance_series_agree(data):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_circuit_provenance_agrees(data):
-    """Circuit provenance from the shared grounding is structurally identical."""
+    """Circuit provenance equals Kleene iteration of the circuit-tagged grounding."""
     program, database = data.draw(programs_with_databases("bag"))
-    naive = datalog_provenance(program, database, provenance="circuit")
-    seminaive = datalog_provenance(
-        program, database, provenance="circuit", engine="seminaive"
+    provenance = datalog_provenance(program, database, provenance="circuit")
+    circ = CircuitSemiring()
+    ground = ground_program(program, database)
+    naive = solve_ground(
+        ground.reannotate(
+            {atom: circ.var(provenance.edb_ids[atom]) for atom in ground.edb_atoms}
+        ),
+        circ,
+        on_divergence="skip",
     )
-    assert naive.divergent == seminaive.divergent
-    assert set(naive.circuits) == set(seminaive.circuits)
-    for atom, circuit in naive.circuits.items():
+    assert naive.divergent_atoms == provenance.divergent
+    expected = {
+        atom: circuit
+        for atom, circuit in naive.annotations.items()
+        if not circ.is_zero(circuit)
+    }
+    assert set(expected) == set(provenance.circuits)
+    for atom, circuit in expected.items():
         # Hash-consing makes structural equality an identity check.
-        assert seminaive.circuits[atom] is circuit, str(atom)
+        assert provenance.circuits[atom] is circuit, str(atom)
 
 
 @pytest.mark.parametrize("semiring_name", ["bool", "natinf", "tropical"])
@@ -138,21 +158,47 @@ def test_circuit_provenance_agrees(data):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_algebraic_system_worklist_agrees(semiring_name, data):
-    """AlgebraicSystem.solve's dependency-aware worklist matches the naive loop."""
+    """AlgebraicSystem.solve's dependency-aware worklist matches the naive fixpoint."""
     program, database = data.draw(programs_with_databases(semiring_name))
     system = build_algebraic_system(program, database)
-    semiring = database.semiring
-    naive = system.solve(semiring, on_divergence="skip")
-    seminaive = system.solve(semiring, on_divergence="skip", engine="seminaive")
-    assert naive == seminaive
+    solution = system.solve(database.semiring, on_divergence="skip")
+    assert solution == naive_fixpoint(program, database, on_divergence="skip").annotations
 
 
-def test_rejects_unknown_engine():
+_ENTRY_POINTS = {
+    "evaluate_program": lambda p, db, pdb: evaluate_program(p, db, engine="naive"),
+    "evaluate": lambda p, db, pdb: evaluate(p, db, engine="naive"),
+    "datalog_provenance": lambda p, db, pdb: datalog_provenance(p, db, engine="naive"),
+    "datalog_circuit_provenance": lambda p, db, pdb: datalog_circuit_provenance(
+        p, db, engine="naive"
+    ),
+    "AlgebraicSystem.solve": lambda p, db, pdb: build_algebraic_system(p, db).solve(
+        db.semiring, engine="naive"
+    ),
+    "lattice_condition_provenance": lambda p, db, pdb: lattice_condition_provenance(
+        p, db, engine="naive"
+    ),
+    "evaluate_on_lattice": lambda p, db, pdb: evaluate_on_lattice(p, db, engine="naive"),
+    "datalog_events": lambda p, db, pdb: pdb.datalog_events(p, engine="naive"),
+    "datalog_probabilities": lambda p, db, pdb: pdb.datalog_probabilities(
+        p, engine="naive"
+    ),
+    "datalog_top_k": lambda p, db, pdb: pdb.datalog_top_k(p, 1, engine="naive"),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(_ENTRY_POINTS))
+def test_no_entry_point_takes_an_engine_keyword(entry_point):
+    """Every datalog entry point runs the semi-naive engine; none forks on
+    ``engine=``.  The naive iteration is reachable only as the oracle
+    ``solve_ground(ground_program(...))``."""
     database = Database(get_semiring("bool"))
     database.create("R", ["x", "y"], [("a", "b")])
+    pdb = ProbabilisticDatabase()
+    pdb.add_relation("R", ["x", "y"], [(("a", "b"), "e1", 0.5)])
     program = Program.parse("Q(x, y) :- R(x, y)")
-    with pytest.raises(ValueError, match="engine"):
-        evaluate_program(program, database, engine="magic")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
+        _ENTRY_POINTS[entry_point](program, database, pdb)
 
 
 def test_polynomial_annotations_match_all_trees_shape():
@@ -167,6 +213,6 @@ def test_polynomial_annotations_match_all_trees_shape():
         ],
     )
     program = Program.parse("Q(x, y) :- R(x, y)\nQ(x, y) :- R(x, z), Q(z, y)")
-    result = evaluate_program(program, database, engine="seminaive")
+    result = evaluate_program(program, database)
     relation = result.output_relation(database)
     assert relation[("a", "c")] == Polynomial.var("p") * Polynomial.var("r")

@@ -23,6 +23,8 @@ import random
 
 import pytest
 
+from strategies import naive_fixpoint
+
 from repro.algebra import Q
 from repro.algebra.predicates import OpaquePredicate
 from repro.circuits import CircuitSemiring, to_polynomial
@@ -163,11 +165,11 @@ def test_datalog_backends_agree(semiring):
     """Linear transitive closure over an acyclic chain, every semiring."""
     program = transitive_closure_program(linear=True)
     db = chain_graph_database(semiring, length=16, seed=3)
-    row = evaluate_program(program, db, engine="seminaive", storage="row")
-    columnar = evaluate_program(program, db, engine="seminaive", storage="columnar")
+    row = evaluate_program(program, db, storage="row")
+    columnar = evaluate_program(program, db, storage="columnar")
     assert row.annotations == columnar.annotations
     assert row.iterations == columnar.iterations
-    naive = evaluate_program(program, db, engine="naive")
+    naive = naive_fixpoint(program, db)
     assert set(naive.annotations) == set(row.annotations)
     for atom, value in naive.annotations.items():
         assert _comparable(semiring, value) == _comparable(
@@ -184,10 +186,11 @@ def test_datalog_cyclic_graph(semiring):
     """Cyclic graphs: idempotent fixpoints converge identically on both backends."""
     program = transitive_closure_program(linear=True)
     db = random_graph_database(semiring, nodes=9, edge_probability=0.3, seed=5)
-    row = evaluate_program(program, db, engine="seminaive", storage="row")
-    columnar = evaluate_program(program, db, engine="seminaive", storage="columnar")
+    row = evaluate_program(program, db, storage="row")
+    columnar = evaluate_program(program, db, storage="columnar")
     assert columnar.annotations == row.annotations
     assert columnar.iterations == row.iterations
+    assert row.annotations == naive_fixpoint(program, db).annotations
 
 
 # -- incremental maintenance -----------------------------------------------------
@@ -215,7 +218,7 @@ def test_incremental_initial_fixpoint_and_insert(semiring):
 
     fresh_db = chain_graph_database(semiring, length=12, seed=9)
     fresh_db.relation("R").set(*update[0])
-    fresh = evaluate_program(program, fresh_db, engine="seminaive", storage="row")
+    fresh = naive_fixpoint(program, fresh_db)
     assert set(fresh.annotations) == set(views["row"].result.annotations)
     for atom, value in fresh.annotations.items():
         assert _comparable(semiring, value) == _comparable(
@@ -274,8 +277,8 @@ def test_datalog_past_int64_is_exact(storage):
         ),
     )
     program = transitive_closure_program(linear=True)
-    result = evaluate_program(program, db, engine="seminaive", storage=storage)
-    naive = evaluate_program(program, db)
+    result = evaluate_program(program, db, storage=storage)
+    naive = naive_fixpoint(program, db)
     assert result.annotations == naive.annotations
     assert result.relation("Q", db).annotation({"x": "n0", "y": "n4"}) == 1 << 160
 

@@ -257,9 +257,9 @@ def test_seminaive_row_and_columnar_storage_agree(semiring_name):
     )
     program = transitive_closure_program()
     kwargs = {"on_divergence": "skip"} if semiring_name == "nx" else {}
-    row = evaluate_program(program, database, engine="seminaive", storage="row", **kwargs)
+    row = evaluate_program(program, database, storage="row", **kwargs)
     columnar = evaluate_program(
-        program, database, engine="seminaive", storage="columnar", **kwargs
+        program, database, storage="columnar", **kwargs
     )
     assert row.annotations == columnar.annotations
     assert row.iterations == columnar.iterations
@@ -293,6 +293,6 @@ def test_everything_degrades_gracefully_without_numpy(monkeypatch):
     semiring = get_semiring("tropical")
     graph = random_graph_database(semiring, nodes=8, edge_probability=0.3, seed=5)
     program = transitive_closure_program()
-    row = evaluate_program(program, graph, engine="seminaive", storage="row")
-    columnar = evaluate_program(program, graph, engine="seminaive", storage="columnar")
+    row = evaluate_program(program, graph, storage="row")
+    columnar = evaluate_program(program, graph, storage="columnar")
     assert row.annotations == columnar.annotations

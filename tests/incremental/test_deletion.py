@@ -1,7 +1,7 @@
 """Incremental deletion: DRed, ring and provenance-assisted paths.
 
-The maintained :class:`IncrementalDatalog` must agree with from-scratch
-semi-naive evaluation *annotation-for-annotation* after every step of a
+The maintained :class:`IncrementalDatalog` must agree with the from-scratch
+naive fixpoint (``strategies.naive_fixpoint``) *annotation-for-annotation* after every step of a
 random insert/delete update stream, over every supported semiring and on
 both storage backends -- and :meth:`check_consistency` must hold throughout
 (the maintained ``edb_annotations``, stores and database supports all agree
@@ -20,11 +20,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from strategies import annotation_for
+from strategies import annotation_for, naive_fixpoint
 
 from repro.circuits import to_polynomial
 from repro.circuits.nodes import Node
-from repro.datalog import evaluate_program
 from repro.errors import DivergenceError
 from repro.incremental import IncrementalDatalog, UpdateBatch
 from repro.relations.database import Database
@@ -67,9 +66,7 @@ def _normalize(annotations):
 
 
 def _assert_matches_fresh(maintained, database):
-    fresh = evaluate_program(
-        TC_PROGRAM, database, engine="seminaive", on_divergence="skip"
-    )
+    fresh = naive_fixpoint(TC_PROGRAM, database, on_divergence="skip")
     assert maintained.result.divergent_atoms == fresh.divergent_atoms
     assert _normalize(maintained.result.annotations) == _normalize(fresh.annotations)
 

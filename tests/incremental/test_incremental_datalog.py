@@ -1,6 +1,7 @@
-"""IncrementalDatalog vs from-scratch semi-naive evaluation.
+"""IncrementalDatalog vs from-scratch naive evaluation.
 
-The maintained fixpoint must agree with ``evaluate_program`` on the same
+The maintained fixpoint must agree with the naive Kleene fixpoint
+(``strategies.naive_fixpoint``) on the same
 (post-update) database after every insertion batch -- across the idempotent
 direct mode (B, Tropical), the non-idempotent collect-and-solve mode (N∞
 with divergence handling, N[X] with skip), and randomized recursive
@@ -12,9 +13,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from strategies import DOMAIN, annotation_for, programs_with_databases
+from strategies import DOMAIN, annotation_for, naive_fixpoint, programs_with_databases
 
-from repro.datalog import evaluate_program
 from repro.errors import DatalogError
 from repro.incremental import IncrementalDatalog
 from repro.relations.database import Database
@@ -35,9 +35,7 @@ STREAM_SETTINGS = settings(
 
 
 def _assert_matches_fresh(maintained, program, database, *, on_divergence="top"):
-    fresh = evaluate_program(
-        program, database, engine="seminaive", on_divergence=on_divergence
-    )
+    fresh = naive_fixpoint(program, database, on_divergence=on_divergence)
     assert maintained.result.divergent_atoms == fresh.divergent_atoms
     assert maintained.result.annotations == fresh.annotations
 

@@ -40,11 +40,10 @@ class TestEngineSpans:
 
     def test_view_build_emits_kernel_spans(self):
         # The relation-level kernels back the materialized-view operator
-        # tree under the pipelined executor; building a view over the
-        # example query runs both joins.
+        # tree; building a view over the example query runs both joins.
         database = section2_database(NaturalsSemiring())
         with tracing() as sink:
-            MaterializedView(section2_query(), database, executor="pipelined")
+            MaterializedView(section2_query(), database)
         joins = sink.find("kernel.join")
         projects = sink.find("kernel.project")
         assert len(joins) == 2  # the example query joins R with itself twice
@@ -74,7 +73,7 @@ class TestDatalogSpans:
         )
         program = transitive_closure_program()
         with tracing() as sink:
-            result = evaluate_program(program, database, engine="seminaive")
+            result = evaluate_program(program, database)
         (seed,) = sink.find("datalog.seed")
         rounds = sink.find("datalog.round")
         assert seed.attributes["mode"] == "annotate"
@@ -160,6 +159,5 @@ class TestZeroSpanWhenDisabled:
             random_graph_database(
                 BooleanSemiring(), nodes=6, edge_probability=0.3, seed=3
             ),
-            engine="seminaive",
         )
         assert probe_sink_records == []

@@ -1,16 +1,18 @@
 """The probabilistic frontend rides the planner and the fast engines.
 
-``ProbabilisticDatabase.query_events``/``datalog_events`` used to hard-code
-unoptimized naive evaluation, bypassing both the PR 2 semi-naive datalog
-engine and the PR 4 planner.  They now plumb ``optimize=``/``executor=``
-(queries) and ``engine=`` (datalog) through, with planner-on / semi-naive
-defaults.  These tests prove the answer *events* -- not just the
-probabilities -- are identical across every mode.
+``ProbabilisticDatabase.query_events`` plumbs ``optimize=``/``executor=``
+through, with planner-on defaults, and the datalog methods run on the
+semi-naive engine.  These tests prove the answer *events* -- not just the
+probabilities -- are identical across every query mode, and that the
+datalog events equal the naive Kleene fixpoint computed directly in
+``P(Omega)``.
 """
 
 from __future__ import annotations
 
 import pytest
+
+from strategies import naive_fixpoint
 
 from repro.probabilistic import ProbabilisticDatabase
 from repro.relations import Tup
@@ -141,32 +143,28 @@ class TestEventSpaceMemo:
         assert first == pytest.approx(0.5)
 
 
+def _naive_events(pdb, program):
+    """The oracle: the naive Kleene fixpoint run directly over ``P(Omega)``."""
+    return naive_fixpoint(program, pdb.database).output_relation(pdb.database)
+
+
 class TestDatalogPlumbing:
-    def test_both_engines_produce_identical_events(self):
+    def test_events_match_the_naive_fixpoint(self):
         pdb = _cyclic_pdb()
         program = transitive_closure_program()
         _assert_identical_events(
-            pdb.datalog_events(program, engine="naive"),
-            pdb.datalog_events(program, engine="seminaive"),
-            "datalog engines",
-        )
-
-    def test_seminaive_is_the_default(self):
-        pdb = _cyclic_pdb()
-        program = transitive_closure_program()
-        _assert_identical_events(
-            pdb.datalog_events(program, engine="naive"),
+            _naive_events(pdb, program),
             pdb.datalog_events(program),
-            "default datalog engine",
+            "datalog events",
         )
 
-    def test_probabilities_agree_across_engines(self):
+    def test_probabilities_match_the_naive_fixpoint(self):
         pdb = _cyclic_pdb()
         program = transitive_closure_program()
-        naive = pdb.datalog_probabilities(program, engine="naive")
-        seminaive = pdb.datalog_probabilities(program, engine="seminaive")
-        assert set(naive) == set(seminaive)
-        for tup, probability in naive.items():
-            assert seminaive[tup] == pytest.approx(probability)
+        naive = _naive_events(pdb, program)
+        probabilities = pdb.datalog_probabilities(program)
+        assert set(naive.support) == set(probabilities)
+        for tup, event in naive.items():
+            assert probabilities[tup] == pytest.approx(pdb.space.probability(event))
         # Anchor to the known closed-form value from the paper's example.
-        assert seminaive[Tup(x="a", y="c")] == pytest.approx(0.4)
+        assert probabilities[Tup(x="a", y="c")] == pytest.approx(0.4)

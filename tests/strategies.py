@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.algebra import predicates
 from repro.algebra.ast import Q
-from repro.datalog import Program, Rule
+from repro.datalog import Program, Rule, ground_program, solve_ground
 from repro.logic import Atom, Constant, Variable
 from repro.relations.database import Database
 from repro.relations.krelation import KRelation
@@ -49,6 +49,7 @@ __all__ = [
     "programs_with_databases",
     "ra_queries",
     "view_databases",
+    "naive_fixpoint",
 ]
 
 EDB_PREDICATES = ("R", "S")
@@ -374,3 +375,17 @@ def view_databases(draw, semiring: Semiring):
             relation.set(values, annotation_for(semiring, index, draw))
         database.register(name, relation)
     return database
+
+
+def naive_fixpoint(program, database: Database, **kwargs):
+    """The datalog oracle: ground ``program``, then Kleene-iterate ``T_q``.
+
+    Definition 5.5 as written (:func:`repro.datalog.solve_ground` over
+    :func:`repro.datalog.ground_program`), independent of the semi-naive
+    engine that :func:`repro.datalog.evaluate_program` runs.  ``kwargs`` go
+    to :func:`~repro.datalog.solve_ground` (``on_divergence``,
+    ``max_iterations``).
+    """
+    if isinstance(program, str):
+        program = Program.parse(program)
+    return solve_ground(ground_program(program, database), database.semiring, **kwargs)
